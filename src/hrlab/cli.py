@@ -13,16 +13,19 @@ configuration error.
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .errors import HrlabError
+from .errors import DomainError, HrlabError
 from .evd_core import MixtureParams, as_param, hr_cdf, hr_exponent
 from .experiments import (
     Coupling,
@@ -118,10 +121,7 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 
 
 def _parse_tau(text: str) -> tuple[float, float, float]:
-    try:
-        parts = tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"tau must be t11,t22,t12, got {text!r}") from exc
+    parts = _parse_floats(text)
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"tau must have exactly three entries, got {text!r}")
     return parts
@@ -152,24 +152,23 @@ def _parse_points(text: str) -> tuple[tuple[float, float], ...]:
 
 
 def _parse_coupling(text: str) -> str:
-    t = text.strip()
-    if t == "indep":
-        return t
-    if t.startswith("shared:"):
-        try:
-            c = float(t.split(":", 1)[1])
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"coupling must be indep or shared:C, got {text!r}") from exc
-        if not 0.0 <= c < 1.0:
-            raise argparse.ArgumentTypeError(f"shared coupling weight must be in [0,1), got {c}")
-        return t
-    raise argparse.ArgumentTypeError(f"coupling must be indep or shared:C, got {text!r}")
+    spec = text.strip()
+    try:
+        _coupling_of(spec)
+    except ValueError as exc:  # a malformed C, or DomainError from Coupling
+        raise argparse.ArgumentTypeError(
+            f"coupling must be indep or shared:C with C in [0,1), got {text!r}") from exc
+    return spec
 
 
-def _coupling_of(cfg: RunConfig) -> Coupling:
-    if cfg.coupling == "indep":
+def _coupling_of(spec: str) -> Coupling:
+    """The Coupling named by ``indep`` or ``shared:C``."""
+    if spec == "indep":
         return Coupling()
-    return Coupling("shared", float(cfg.coupling.split(":", 1)[1]))
+    kind, _, c = spec.partition(":")
+    if kind != "shared":
+        raise DomainError(f"coupling must be indep or shared:C, got {spec!r}")
+    return Coupling("shared", float(c))
 
 
 def _axis(grid: tuple[float, float, int]) -> np.ndarray:
@@ -243,17 +242,13 @@ def emit(cfg: RunConfig, table: list[dict], summary: dict, passed,
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each maps a RunConfig and a worker count to (table, summary, passed)
 # ---------------------------------------------------------------------------
 
-def _branch_label(lam: float) -> str:
-    p = as_param(lam)
-    return "zero" if p.is_zero else ("inf" if p.is_inf else "finite")
-
-
-def cmd_hr_eval(cfg: RunConfig, out: str | None = None, workers: int = 1) -> int:
+def cmd_hr_eval(cfg: RunConfig, workers: int):
     axis = _axis(cfg.grid)
-    label = _branch_label(cfg.lam)
+    p = as_param(cfg.lam)
+    label = "zero" if p.is_zero else ("inf" if p.is_inf else "finite")
     table = [
         {
             "x": float(x),
@@ -265,8 +260,7 @@ def cmd_hr_eval(cfg: RunConfig, out: str | None = None, workers: int = 1) -> int
         for x in axis
         for y in axis
     ]
-    emit(cfg, table, {"rows": len(table)}, None, out)
-    return 0
+    return table, {"rows": len(table)}, None
 
 
 def _weak_model(cfg: RunConfig) -> WeakAR1Model:
@@ -282,7 +276,7 @@ def _strong_model(cfg: RunConfig) -> StrongFactorModel:
     return StrongFactorModel(MixtureParams(t11, t22, t12, cfg.lam))
 
 
-def cmd_verify_weak(cfg: RunConfig, out: str | None = None, workers: int = 1) -> int:
+def cmd_verify_weak(cfg: RunConfig, workers: int):
     model = _weak_model(cfg)
     baseline = WeakAR1Model(cfg.lam, 0.0)
     axis = _axis(cfg.grid)
@@ -319,108 +313,86 @@ def cmd_verify_weak(cfg: RunConfig, out: str | None = None, workers: int = 1) ->
         "mc_band": band,
         "threshold": threshold,
     }
-    emit(cfg, table, summary, passed, out)
-    return 0 if passed else 1
+    return table, summary, passed
 
 
-def cmd_verify_strong(cfg: RunConfig, out: str | None = None, workers: int = 1) -> int:
+def cmd_verify_strong(cfg: RunConfig, workers: int):
     model = _strong_model(cfg)
     mp = model.mix
     axis = _axis(cfg.grid)
     gy = np.append(axis, np.inf)  # the +inf column carries the x-marginal
     root = SeedLineage(cfg.seed)
     emp = empirical_max_law(model, cfg.n, cfg.reps, (axis, gy), root.child(0), workers)
-    nodes = cfg.nodes or 128
-    theory = np.array(
-        [[mixture_limit_cdf(mp, x, y, nodes) for y in axis] for x in axis]
-    )
-    marginal_theory = np.array([univariate_mixture_cdf(mp.tau11, x, nodes) for x in axis])
+    theory = np.array([[mixture_limit_cdf(mp, x, y, cfg.nodes) for y in axis] for x in axis])
+    marginal_theory = np.array([univariate_mixture_cdf(mp.tau11, x, cfg.nodes) for x in axis])
     d_biv = float(np.max(np.abs(emp.cdf[:, :-1] - theory)))
     d_marg = float(np.max(np.abs(emp.cdf[:, -1] - marginal_theory)))
     tol = cfg.tol if cfg.tol is not None else 0.04
     mtol = cfg.marginal_tol if cfg.marginal_tol is not None else 0.03
     passed = d_biv <= tol and d_marg <= mtol
-    table = []
-    for i, x in enumerate(axis):
-        for j, y in enumerate(axis):
-            table.append(
-                {
-                    "x": float(x),
-                    "y": float(y),
-                    "empirical": float(emp.cdf[i, j]),
-                    "mixture": float(theory[i, j]),
-                    "abs_err": float(abs(emp.cdf[i, j] - theory[i, j])),
-                    "sup_distance": d_biv,
-                    "marginal_distance": d_marg,
-                    "passed": passed,
-                }
-            )
-    for i, x in enumerate(axis):
-        table.append(
-            {
-                "x": float(x),
-                "y": math.inf,
-                "empirical": float(emp.cdf[i, -1]),
-                "mixture": float(marginal_theory[i]),
-                "abs_err": float(abs(emp.cdf[i, -1] - marginal_theory[i])),
-                "sup_distance": d_biv,
-                "marginal_distance": d_marg,
-                "passed": passed,
-            }
-        )
+    cells = [(x, y, emp.cdf[i, j], theory[i, j])
+             for i, x in enumerate(axis) for j, y in enumerate(axis)]
+    cells += [(x, math.inf, emp.cdf[i, -1], marginal_theory[i]) for i, x in enumerate(axis)]
+    table = [
+        {
+            "x": float(x),
+            "y": float(y),
+            "empirical": float(e),
+            "mixture": float(t),
+            "abs_err": float(abs(e - t)),
+            "sup_distance": d_biv,
+            "marginal_distance": d_marg,
+            "passed": passed,
+        }
+        for x, y, e, t in cells
+    ]
     summary = {
         "sup_distance": d_biv,
         "marginal_distance": d_marg,
         "tol": tol,
         "marginal_tol": mtol,
     }
-    emit(cfg, table, summary, passed, out)
-    return 0 if passed else 1
+    return table, summary, passed
 
 
-def cmd_verify_maxmin(cfg: RunConfig, out: str | None = None, workers: int = 1) -> int:
+def cmd_verify_maxmin(cfg: RunConfig, workers: int):
     model = _weak_model(cfg)
     vals = np.asarray(cfg.grid4, dtype=float)
-    axes = (vals, vals, vals, vals)
-    emp = empirical_maxmin_law(
-        model, cfg.n, cfg.reps, axes, SeedLineage(cfg.seed).child(0), workers
-    )
+    emp = empirical_maxmin_law(model, cfg.n, cfg.reps, (vals,) * 4,
+                               SeedLineage(cfg.seed).child(0), workers)
     tol = cfg.tol if cfg.tol is not None else 0.04
     table = []
     worst = 0.0
-    for i1, x1 in enumerate(vals):
-        for i2, x2 in enumerate(vals):
-            for j1, y1 in enumerate(vals):
-                for j2, y2 in enumerate(vals):
-                    t = hr_cdf(cfg.lam, x1, x2) * hr_cdf(cfg.lam, y1, y2)
-                    e = float(emp.prob[i1, i2, j1, j2])
-                    worst = max(worst, abs(e - t))
-                    table.append(
-                        {
-                            "x1": float(x1), "x2": float(x2),
-                            "y1": float(y1), "y2": float(y2),
-                            "empirical": e, "theory": t, "abs_err": abs(e - t),
-                        }
-                    )
+    for (i1, x1), (i2, x2), (j1, y1), (j2, y2) in itertools.product(enumerate(vals), repeat=4):
+        t = hr_cdf(cfg.lam, x1, x2) * hr_cdf(cfg.lam, y1, y2)
+        e = float(emp.prob[i1, i2, j1, j2])
+        worst = max(worst, abs(e - t))
+        table.append(
+            {
+                "x1": float(x1), "x2": float(x2),
+                "y1": float(y1), "y2": float(y2),
+                "empirical": e, "theory": t, "abs_err": abs(e - t),
+            }
+        )
     passed = worst <= tol
     for row in table:
         row["max_abs_err"] = worst
         row["passed"] = passed
-    emit(cfg, table, {"max_abs_err": worst, "tol": tol}, passed, out)
-    return 0 if passed else 1
+    return table, {"max_abs_err": worst, "tol": tol}, passed
 
 
-def cmd_verify_aslt(cfg: RunConfig, out: str | None = None, workers: int = 1) -> int:
+def cmd_verify_aslt(cfg: RunConfig, workers: int):
     model = _weak_model(cfg)
-    coupling = _coupling_of(cfg)
-    points = cfg.points or ((0.0, 0.0), (1.0, 1.0))
+    coupling = _coupling_of(cfg.coupling)
+    if cfg.seeds < 2:
+        raise DomainError(f"--seeds must be >= 2 to compare spreads across paths, got {cfg.seeds}")
+    points = cfg.points
     mm_points = tuple((x, y, x, y) for x, y in points)
     tol = cfg.tol if cfg.tol is not None else 0.12
-    n_seeds = cfg.seeds or 10
     root = SeedLineage(cfg.seed)
     paths = [
         aslt_average(model, coupling, cfg.nmax, points, root.child(s), maxmin_points=mm_points)
-        for s in range(n_seeds)
+        for s in range(cfg.seeds)
     ]
     cps = paths[0].checkpoints
     targets = [hr_cdf(cfg.lam, x, y) for x, y in points]
@@ -456,12 +428,11 @@ def cmd_verify_aslt(cfg: RunConfig, out: str | None = None, workers: int = 1) ->
     # cross-seed concentration: std at n_max strictly below std at n_max/4
     i_quarter = cps.index(cfg.nmax // 4) if cfg.nmax // 4 in cps else 0
     i_final = len(cps) - 1
-    shrink_ok = True
-    for ip in range(len(points)):
-        final = np.std([p.averages[ip, i_final] for p in paths], ddof=1)
-        quarter = np.std([p.averages[ip, i_quarter] for p in paths], ddof=1)
-        if not final < quarter:
-            shrink_ok = False
+    shrink_ok = all(
+        np.std([p.averages[ip, i_final] for p in paths], ddof=1)
+        < np.std([p.averages[ip, i_quarter] for p in paths], ddof=1)
+        for ip in range(len(points))
+    )
     passed = worst <= tol and shrink_ok and ceiling_ok
     summary = {
         "max_final_deviation": worst,
@@ -470,84 +441,131 @@ def cmd_verify_aslt(cfg: RunConfig, out: str | None = None, workers: int = 1) ->
         "ceiling_ok": ceiling_ok,
         "checkpoints": [int(c) for c in cps],
     }
-    emit(cfg, table, summary, passed, out)
-    return 0 if passed else 1
+    return table, summary, passed
 
 
-def cmd_verify_bounds(cfg: RunConfig, out: str | None = None, workers: int = 1) -> int:
-    kind = cfg.kind or "L1"
-    x = cfg.x if cfg.x is not None else 3.0
-    y = cfg.y if cfg.y is not None else 3.0
-    if kind == "L2":
-        model = _strong_model(cfg)
-    else:
-        model = _weak_model(cfg) if cfg.phi is not None else _strong_model(cfg)
-
-    if kind in ("L1", "L2"):
-        series = comparison_bound_series(model, kind, x, y, cfg.n_grid)
-        values = series.values
-        if kind == "L1":
-            tol = cfg.tol if cfg.tol is not None else 1e-2
-            decreasing = all(a > b for a, b in zip(values, values[1:]))
-            passed = decreasing and values[-1] < tol
-            summary = {
-                "kind": kind, "final_value": values[-1], "tol": tol,
-                "strictly_decreasing": decreasing, "omega_rule": series.omega_rule,
-            }
-        else:
-            tol = cfg.tol if cfg.tol is not None else 1e-12
-            passed = max(values) <= tol
-            summary = {
-                "kind": kind, "max_value": max(values), "tol": tol,
-                "omega_rule": series.omega_rule,
-            }
+def cmd_verify_bounds(cfg: RunConfig, workers: int):
+    kind = cfg.kind
+    model = _weak_model(cfg) if kind != "L2" and cfg.phi is not None else _strong_model(cfg)
+    if kind == "rate":
+        report = aslt_bound_rate(model, _coupling_of(cfg.coupling), cfg.epsilon, cfg.n_grid,
+                                 cfg.x, cfg.y)
+        passed = report.bounded
         table = [
-            {"n": int(n), "value": float(v), "kind": kind, "passed": passed}
-            for n, v in zip(series.n_grid, values)
+            {
+                "n": int(n),
+                "within_row_value": float(vw),
+                "ratio": float(r),
+                "cross_row_value": float(vc),
+                "passed": passed,
+            }
+            for n, vw, r, vc in zip(
+                report.within_row.n_grid, report.within_row.values,
+                report.ratios, report.cross_row.values,
+            )
         ]
-        emit(cfg, table, summary, passed, out)
-        return 0 if passed else 1
-
-    if kind != "rate":
-        raise HrlabError(f"--kind must be L1, L2 or rate, got {kind!r}")
-    epsilon = cfg.epsilon if cfg.epsilon is not None else 0.1
-    report = aslt_bound_rate(model, _coupling_of(cfg), epsilon, cfg.n_grid, x, y)
-    passed = report.bounded
-    table = [
-        {
-            "n": int(n),
-            "within_row_value": float(vw),
-            "ratio": float(r),
-            "cross_row_value": float(vc),
-            "passed": passed,
+        summary = {
+            "kind": kind,
+            "epsilon": cfg.epsilon,
+            "bounded": report.bounded,
+            "max_ratio": max(report.ratios),
+            "omega_rule": report.within_row.omega_rule,
         }
-        for n, vw, r, vc in zip(
-            report.within_row.n_grid, report.within_row.values,
-            report.ratios, report.cross_row.values,
-        )
+        return table, summary, passed
+
+    series = comparison_bound_series(model, kind, cfg.x, cfg.y, cfg.n_grid)
+    values = series.values
+    if kind == "L1":
+        tol = cfg.tol if cfg.tol is not None else 1e-2
+        decreasing = all(a > b for a, b in zip(values, values[1:]))
+        passed = decreasing and values[-1] < tol
+        summary = {
+            "kind": kind, "final_value": values[-1], "tol": tol,
+            "strictly_decreasing": decreasing, "omega_rule": series.omega_rule,
+        }
+    else:
+        tol = cfg.tol if cfg.tol is not None else 1e-12
+        passed = max(values) <= tol
+        summary = {
+            "kind": kind, "max_value": max(values), "tol": tol,
+            "omega_rule": series.omega_rule,
+        }
+    table = [
+        {"n": int(n), "value": float(v), "kind": kind, "passed": passed}
+        for n, v in zip(series.n_grid, values)
     ]
-    summary = {
-        "kind": kind,
-        "epsilon": epsilon,
-        "bounded": report.bounded,
-        "max_ratio": max(report.ratios),
-        "omega_rule": report.within_row.omega_rule,
-    }
-    emit(cfg, table, summary, passed, out)
-    return 0 if passed else 1
+    return table, summary, passed
 
 
 # ---------------------------------------------------------------------------
-# argument parser
+# the command table: every subcommand's flags, help and run function
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"master seed (falls back to ${SEED_ENV_VAR}, then 0)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--tol", type=float, default=None, help="override the pass threshold")
-    p.add_argument("--workers", type=int, default=1)
+def _flag(name, **kwargs):
+    return name, kwargs
+
+
+def _but(flag, **overrides):
+    """``flag`` with some of its argparse keywords replaced."""
+    name, kwargs = flag
+    return name, {**kwargs, **overrides}
+
+
+LAMBDA = _flag("--lambda", dest="lam", type=_parse_lambda, required=True)
+PHI = _flag("--phi", type=float, required=True)
+TAU = _flag("--tau", type=_parse_tau, required=True, metavar="T11,T22,T12")
+N = _flag("--n", type=int, default=2000)
+REPS = _flag("--reps", type=int, default=10000)
+GRID = _flag("--grid", type=_parse_grid, default=(-2.0, 4.0, 9))
+COUPLING = _flag("--coupling", type=_parse_coupling, default="indep",
+                 help="indep or shared:C with C in [0,1)")
+
+COMMON = (
+    _flag("--seed", type=int, default=None,
+          help=f"master seed (falls back to ${SEED_ENV_VAR}, then 0)"),
+    _flag("--format", choices=("csv", "json"), default="csv"),
+    _flag("--out", default=None, help="output path (default: stdout)"),
+    _flag("--tol", type=float, default=None, help="override the pass threshold"),
+    _flag("--workers", type=int, default=1,
+          help="worker processes (>= 1; the pool is capped at the CPU count)"),
+)
+
+
+class Command(NamedTuple):
+    path: tuple[str, ...]          # e.g. ("verify", "weak"); RunConfig.command joins it with "-"
+    help: str
+    run: Callable                  # (RunConfig, workers) -> (table, summary, passed)
+    flags: tuple                   # (name, argparse keywords) pairs; COMMON is added to each
+
+
+COMMANDS = (
+    Command(("hr-eval",), "tabulate the bivariate CDF and its exponent", cmd_hr_eval,
+            (LAMBDA, GRID)),
+    Command(("verify", "weak"), "weak-dependence limit (calibrated against the iid baseline)",
+            cmd_verify_weak, (LAMBDA, PHI, N, REPS, GRID)),
+    Command(("verify", "strong"), "strong-dependence Gaussian-mixture limit", cmd_verify_strong,
+            (LAMBDA, TAU, N, REPS, GRID, _flag("--nodes", type=int, default=128),
+             _flag("--marginal-tol", type=float, default=None))),
+    Command(("verify", "maxmin"), "asymptotic independence of maxima and minima",
+            cmd_verify_maxmin,
+            (LAMBDA, PHI, N, _but(REPS, default=20000),
+             _flag("--grid4", type=_parse_floats, default=(0.5, 1.5),
+                   help="comma-separated axis values, used on all four axes"))),
+    Command(("verify", "aslt"), "almost-sure limit theorem along simulated paths",
+            cmd_verify_aslt,
+            (LAMBDA, PHI, _flag("--nmax", type=int, default=20000),
+             _flag("--seeds", type=int, default=10),
+             _flag("--points", type=_parse_points, default=((0.0, 0.0), (1.0, 1.0)),
+                   metavar="X,Y;X,Y;..."),
+             COUPLING)),
+    Command(("verify", "bounds"), "comparison-lemma bound series (exact sums)", cmd_verify_bounds,
+            (_flag("--kind", choices=("L1", "L2", "rate"), default="L1"), LAMBDA,
+             _but(PHI, required=False), _but(TAU, required=False),
+             _flag("--ngrid", dest="n_grid", type=_parse_ngrid, required=True,
+                   metavar="N1,N2,..."),
+             _flag("--x", type=float, default=3.0), _flag("--y", type=float, default=3.0),
+             _flag("--epsilon", type=float, default=0.1), COUPLING)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -555,98 +573,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hrlab",
         description="Bivariate Husler-Reiss laboratory: evaluation and limit-law verification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    pe = sub.add_parser("hr-eval", help="tabulate the bivariate CDF and its exponent")
-    pe.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
-    pe.add_argument("--grid", type=_parse_grid, default=(-2.0, 4.0, 9))
-    _add_common(pe)
-    pe.set_defaults(make=lambda ns: RunConfig(
-        command="hr-eval", seed=_resolve_seed(ns), format=ns.format,
-        tol=ns.tol, lam=ns.lam, grid=ns.grid,
-    ), run=cmd_hr_eval)
-
-    pv = sub.add_parser("verify", help="confront simulation with a limit law")
-    vsub = pv.add_subparsers(dest="law", required=True)
-
-    pw = vsub.add_parser("weak", help="weak-dependence limit (calibrated against the iid baseline)")
-    pw.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
-    pw.add_argument("--phi", type=float, required=True)
-    pw.add_argument("--n", type=int, default=2000)
-    pw.add_argument("--reps", type=int, default=10000)
-    pw.add_argument("--grid", type=_parse_grid, default=(-2.0, 4.0, 9))
-    _add_common(pw)
-    pw.set_defaults(make=lambda ns: RunConfig(
-        command="verify-weak", seed=_resolve_seed(ns), format=ns.format,
-        tol=ns.tol, lam=ns.lam, phi=ns.phi, n=ns.n,
-        reps=ns.reps, grid=ns.grid,
-    ), run=cmd_verify_weak)
-
-    ps = vsub.add_parser("strong", help="strong-dependence Gaussian-mixture limit")
-    ps.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
-    ps.add_argument("--tau", type=_parse_tau, required=True, metavar="T11,T22,T12")
-    ps.add_argument("--n", type=int, default=2000)
-    ps.add_argument("--reps", type=int, default=10000)
-    ps.add_argument("--grid", type=_parse_grid, default=(-2.0, 4.0, 9))
-    ps.add_argument("--nodes", type=int, default=128)
-    ps.add_argument("--marginal-tol", dest="marginal_tol", type=float, default=None)
-    _add_common(ps)
-    ps.set_defaults(make=lambda ns: RunConfig(
-        command="verify-strong", seed=_resolve_seed(ns), format=ns.format,
-        tol=ns.tol, lam=ns.lam, tau=ns.tau, n=ns.n,
-        reps=ns.reps, grid=ns.grid, nodes=ns.nodes, marginal_tol=ns.marginal_tol,
-    ), run=cmd_verify_strong)
-
-    pm = vsub.add_parser("maxmin", help="asymptotic independence of maxima and minima")
-    pm.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
-    pm.add_argument("--phi", type=float, required=True)
-    pm.add_argument("--n", type=int, default=2000)
-    pm.add_argument("--reps", type=int, default=20000)
-    pm.add_argument("--grid4", type=_parse_floats, default=(0.5, 1.5),
-                    help="comma-separated axis values, used on all four axes")
-    _add_common(pm)
-    pm.set_defaults(make=lambda ns: RunConfig(
-        command="verify-maxmin", seed=_resolve_seed(ns), format=ns.format,
-        tol=ns.tol, lam=ns.lam, phi=ns.phi, n=ns.n,
-        reps=ns.reps, grid4=ns.grid4,
-    ), run=cmd_verify_maxmin)
-
-    pa = vsub.add_parser("aslt", help="almost-sure limit theorem along simulated paths")
-    pa.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
-    pa.add_argument("--phi", type=float, required=True)
-    pa.add_argument("--nmax", type=int, default=20000)
-    pa.add_argument("--seeds", type=int, default=10)
-    pa.add_argument("--points", type=_parse_points, default=((0.0, 0.0), (1.0, 1.0)),
-                    metavar="X,Y;X,Y;...")
-    pa.add_argument("--coupling", type=_parse_coupling, default="indep",
-                    help="indep or shared:C with C in [0,1)")
-    _add_common(pa)
-    pa.set_defaults(make=lambda ns: RunConfig(
-        command="verify-aslt", seed=_resolve_seed(ns), format=ns.format,
-        tol=ns.tol, lam=ns.lam, phi=ns.phi, nmax=ns.nmax,
-        seeds=ns.seeds, points=ns.points, coupling=ns.coupling,
-    ), run=cmd_verify_aslt)
-
-    pb = vsub.add_parser("bounds", help="comparison-lemma bound series (exact sums)")
-    pb.add_argument("--kind", choices=("L1", "L2", "rate"), default="L1")
-    pb.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
-    pb.add_argument("--phi", type=float, default=None)
-    pb.add_argument("--tau", type=_parse_tau, default=None, metavar="T11,T22,T12")
-    pb.add_argument("--ngrid", dest="n_grid", type=_parse_ngrid, required=True,
-                    metavar="N1,N2,...")
-    pb.add_argument("--x", type=float, default=3.0)
-    pb.add_argument("--y", type=float, default=3.0)
-    pb.add_argument("--epsilon", type=float, default=0.1)
-    pb.add_argument("--coupling", type=_parse_coupling, default="indep")
-    _add_common(pb)
-    pb.set_defaults(make=lambda ns: RunConfig(
-        command="verify-bounds", seed=_resolve_seed(ns), format=ns.format,
-        tol=ns.tol, lam=ns.lam, phi=ns.phi, tau=ns.tau,
-        n_grid=ns.n_grid, kind=ns.kind, epsilon=ns.epsilon, coupling=ns.coupling,
-        x=ns.x, y=ns.y,
-    ), run=cmd_verify_bounds)
-
+    top = parser.add_subparsers(dest="command", required=True)
+    laws = None
+    for cmd in COMMANDS:
+        if cmd.path[0] == "verify" and laws is None:
+            verify = top.add_parser("verify", help="confront simulation with a limit law")
+            laws = verify.add_subparsers(dest="law", required=True)
+        sub = laws if cmd.path[0] == "verify" else top
+        p = sub.add_parser(cmd.path[-1], help=cmd.help)
+        for name, kwargs in cmd.flags + COMMON:
+            p.add_argument(name, **kwargs)
+        p.set_defaults(spec=cmd)
     return parser
+
+
+def config_of(ns) -> RunConfig:
+    """The RunConfig of parsed flags: every flag that names a RunConfig field,
+    plus the command path and the resolved seed."""
+    names = {f.name for f in fields(RunConfig)} - {"command", "seed"}
+    given = {k: v for k, v in vars(ns).items() if k in names}
+    return RunConfig(command="-".join(ns.spec.path), seed=_resolve_seed(ns), **given)
 
 
 # flags whose values may start with '-' (grid specs, point lists); argparse
@@ -656,16 +602,11 @@ _DASH_VALUE_FLAGS = ("--grid", "--grid4", "--points", "--ngrid", "--tau", "--x",
 
 def _merge_dash_values(argv):
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in _DASH_VALUE_FLAGS and nxt is not None and nxt.startswith("-"):
-            out.append(f"{tok}={nxt}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in _DASH_VALUE_FLAGS and tok.startswith("-"):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -677,11 +618,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        cfg = ns.make(ns)
-        return ns.run(cfg, out=ns.out, workers=ns.workers)
-    except HrlabError as exc:
+        if ns.workers < 1:
+            raise HrlabError(f"--workers must be >= 1, got {ns.workers}")
+        cfg = config_of(ns)
+        table, summary, passed = ns.spec.run(cfg, ns.workers)
+        emit(cfg, table, summary, passed, ns.out)
+    except (HrlabError, OSError) as exc:
+        # OSError: chiefly an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if passed is None or passed else 1
 
 
 def entry() -> None:

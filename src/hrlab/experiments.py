@@ -8,6 +8,7 @@ the model's induced correlations.
 """
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -16,11 +17,9 @@ from scipy import special
 
 from .errors import DomainError
 from .evd_core import MixtureParams, gumbel_cdf, hr_cdf
-from .gauss_arrays import ArrayModel, StrongFactorModel, WeakAR1Model, _ar1_path, _pair
+from .gauss_arrays import _PAIRS, ArrayModel, StrongFactorModel, WeakAR1Model, _ar1_path, _pair
 from .norming import norming_constants
 from .seeding import SeedLineage, as_lineage
-
-_PAIRS = ((1, 1), (1, 2), (2, 2))
 
 DEFAULT_GRID = tuple(np.linspace(-2.0, 4.0, 9))
 
@@ -64,19 +63,22 @@ def _as_axis(values, name):
     return arr
 
 
+def _normalize(x1, x2, nm):
+    """(s1, s2, t1, t2) of one row pair: normalized maxima and reflected,
+    normalized minima under the norming constants ``nm``."""
+    return (
+        (x1.max() - nm.b) / nm.a,
+        (x2.max() - nm.b) / nm.a,
+        (-x1.min() - nm.b) / nm.a,
+        (-x2.min() - nm.b) / nm.a,
+    )
+
+
 def _normalized_extremes(model, n, lineage, rep_lo, rep_hi):
-    """Yield (s1, s2, t1, t2) per replication: normalized maxima and
-    reflected, normalized minima."""
+    """Yield (s1, s2, t1, t2) per replication."""
     nm = norming_constants(n)
     for rep in range(rep_lo, rep_hi):
-        rng = lineage.child(rep).generator()
-        x1, x2 = model._sample(n, rng)
-        yield (
-            (x1.max() - nm.b) / nm.a,
-            (x2.max() - nm.b) / nm.a,
-            (-x1.min() - nm.b) / nm.a,
-            (-x2.min() - nm.b) / nm.a,
-        )
+        yield _normalize(*model._sample(n, lineage.child(rep).generator()), nm)
 
 
 def _max_law_corner(model, n, lineage, rep_lo, rep_hi, gx, gy):
@@ -111,7 +113,9 @@ def _parallel_counts(fn, args, total, workers):
         return fn(model, n, lineage, 0, total, *tail)
     ranges = _chunk_ranges(total, workers)
     acc = None
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # chunks follow ``workers`` so results do not depend on the machine; the
+    # pool, which forks all its processes at the first submit, is capped
+    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         futures = [pool.submit(fn, model, n, lineage, lo, hi, *tail) for lo, hi in ranges]
         for fut in futures:
             part = fut.result()
@@ -337,8 +341,8 @@ def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed
 
     lineage = as_lineage(seed)
     k_start = max(2, model.min_n())
-    if any(cp < k_start for cp in checkpoints):
-        raise DomainError(f"checkpoints must be >= {k_start} for this model")
+    if any(not k_start <= cp <= n_max for cp in checkpoints):
+        raise DomainError(f"checkpoints must lie in [{k_start}, n_max] for this model")
 
     eta = None
     if coupling.kind == "shared":
@@ -346,49 +350,37 @@ def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed
         eta = lineage.child(0).generator().standard_normal(n_max)
         _shared_row(model, k_start, lineage.child(1).generator(), eta, coupling.c)  # validate c
 
-    wsum = np.zeros(len(points))
-    wsum_mm = np.zeros(len(maxmin_points))
-    harm = 0.0
-    averages = np.zeros((len(points), len(checkpoints)))
-    averages_mm = np.zeros((len(maxmin_points), len(checkpoints)))
-    ceiling = np.zeros(len(checkpoints))
-
-    cp_index = 0
-    for k in range(k_start, n_max + 1):
+    rows = np.arange(k_start, n_max + 1)
+    extremes = np.empty((rows.size, 4))
+    for i, k in enumerate(range(k_start, n_max + 1)):
         rng = lineage.child(k).generator()
         if coupling.kind == "shared":
             x1, x2 = _shared_row(model, k, rng, eta, coupling.c)
         else:
             x1, x2 = model._sample(k, rng)
-        nm = norming_constants(k)
-        s1 = (x1.max() - nm.b) / nm.a
-        s2 = (x2.max() - nm.b) / nm.a
-        t1 = (-x1.min() - nm.b) / nm.a
-        t2 = (-x2.min() - nm.b) / nm.a
-        inv_k = 1.0 / k
-        harm += inv_k
-        for idx, (px, py) in enumerate(points):
-            if s1 <= px and s2 <= py:
-                wsum[idx] += inv_k
-        for idx, (qx1, qx2, qy1, qy2) in enumerate(maxmin_points):
-            if s1 <= qx1 and s2 <= qx2 and t1 < qy1 and t2 < qy2:
-                wsum_mm[idx] += inv_k
-        while cp_index < len(checkpoints) and k == checkpoints[cp_index]:
-            ell = math.log(k)
-            averages[:, cp_index] = wsum / ell
-            averages_mm[:, cp_index] = wsum_mm / ell
-            ceiling[cp_index] = harm / ell
-            cp_index += 1
+        extremes[i] = _normalize(x1, x2, norming_constants(k))
+
+    # cumsum adds in row order, one term at a time, so each running sum equals
+    # the loop's; a miss adds inv_k * False == 0.0, which changes no sum
+    s1, s2, t1, t2 = extremes.T[:, :, None]
+    px, py = np.array(points, dtype=float).reshape(-1, 2).T
+    qx1, qx2, qy1, qy2 = np.array(maxmin_points, dtype=float).reshape(-1, 4).T
+    inv_k = 1.0 / rows
+    wsum = np.cumsum(inv_k[:, None] * ((s1 <= px) & (s2 <= py)), axis=0)
+    hits_mm = (s1 <= qx1) & (s2 <= qx2) & (t1 < qy1) & (t2 < qy2)
+    wsum_mm = np.cumsum(inv_k[:, None] * hits_mm, axis=0)
+    at = [cp - k_start for cp in checkpoints]
+    ell = np.array([math.log(cp) for cp in checkpoints])
 
     return ASLTPath(
         n_max=n_max,
         k_start=k_start,
         checkpoints=checkpoints,
         points=points,
-        averages=averages,
+        averages=wsum[at].T / ell,
         maxmin_points=maxmin_points,
-        maxmin_averages=averages_mm,
-        ceiling=ceiling,
+        maxmin_averages=wsum_mm[at].T / ell,
+        ceiling=np.cumsum(inv_k)[at] / ell,
         coupling=coupling.describe(),
         seed=lineage,
     )

@@ -194,6 +194,33 @@ class TestVerifyCommands:
         assert code == 2
         assert err.strip().startswith("error:")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("verify", "strong", "--lambda", "1", "--tau", "1,1,0.8", "--n", "200",
+             "--reps", "100", "--grid", "0:1", "--nodes", "0"),
+            ("verify", "aslt", "--lambda", "1", "--phi", "0.5", "--nmax", "1000", "--seeds", "0"),
+            ("verify", "aslt", "--lambda", "1", "--phi", "0.5", "--nmax", "1000", "--seeds", "1"),
+            ("hr-eval", "--lambda", "1", "--grid", "0:0", "--workers", "0"),
+            ("hr-eval", "--lambda", "1", "--grid", "0:0", "--workers", "-3"),
+        ],
+        ids=["nodes-0", "seeds-0", "seeds-1", "workers-0", "workers-negative"],
+    )
+    def test_out_of_range_count_is_exit_2(self, capsys, args):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert err.strip().startswith("error:")
+
+    def test_unwritable_out_is_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir" / "r.csv"
+        code, _, err = run_cli(
+            capsys, "hr-eval", "--lambda", "1", "--grid", "0:0", "--out", str(missing)
+        )
+        assert code == 2
+        assert err.strip().startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestDeterminism:
     def test_worker_count_invariant_csv_bytes(self, tmp_path, capsys):

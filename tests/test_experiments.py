@@ -1,12 +1,14 @@
 """Monte Carlo laws, mixture quadrature, ASLT paths and bound series."""
 
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import hrlab as H
+from hrlab import experiments
 from hrlab.errors import DomainError
 
 ROOT = H.SeedLineage(909)
@@ -43,6 +45,35 @@ class TestEmpiricalMaxLaw:
         m = H.WeakAR1Model(1.0, 0.5)
         seq = H.empirical_max_law(m, 300, 400, (grid(), grid()), ROOT.child(2), workers=1)
         par = H.empirical_max_law(m, 300, 400, (grid(), grid()), ROOT.child(2), workers=2)
+        assert np.array_equal(seq.cdf, par.cdf)
+
+    @pytest.mark.parametrize(("cpus", "cap"), [(3, 3), (None, 1), (128, 64)])
+    def test_pool_capped_at_cpu_count_chunks_follow_workers(self, monkeypatch, cpus, cap):
+        pools, chunks = [], []
+
+        class InlinePool:  # records the pool size; starts no process
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                chunks.append(args[3:5])
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        m = H.WeakAR1Model(1.0, 0.5)
+        par = H.empirical_max_law(m, 200, 128, (grid(), grid()), ROOT.child(3), workers=64)
+        seq = H.empirical_max_law(m, 200, 128, (grid(), grid()), ROOT.child(3), workers=1)
+        assert pools == [cap]
+        assert len(chunks) == 64  # ceil(128 / 64) = 2 replications per chunk
         assert np.array_equal(seq.cdf, par.cdf)
 
     def test_iid_independent_components_match_finite_n_law(self):
@@ -213,6 +244,40 @@ class TestAsltAverage:
         assert np.all(p1.maxmin_averages <= p1.ceiling + 1e-12)
         # harmonic ceiling stays below 1 + gamma/ln n
         assert np.all(p1.ceiling <= 1.0 + 0.5772156649 / np.log(p1.checkpoints))
+
+    def test_running_sums_equal_row_by_row_loop(self):
+        # reference: accumulate each row's indicators in a Python loop
+        m = H.WeakAR1Model(1.0, 0.5)
+        pts, mm = ((0.0, 0.0), (1.0, 0.5)), ((1.0, 1.0, 0.5, 1.0),)
+        path = H.aslt_average(m, H.INDEPENDENT_ROWS, 1000, pts, ROOT.child(12),
+                              maxmin_points=mm, checkpoints=(300, 1000))
+        wsum, wsum_mm, harm = [0.0, 0.0], [0.0], 0.0
+        averages, averages_mm, ceiling = [], [], []
+        for k in range(path.k_start, 1001):
+            x1, x2 = m._sample(k, ROOT.child(12).child(k).generator())
+            nm = H.norming_constants(k)
+            s1, s2 = (x1.max() - nm.b) / nm.a, (x2.max() - nm.b) / nm.a
+            t1, t2 = (-x1.min() - nm.b) / nm.a, (-x2.min() - nm.b) / nm.a
+            harm += 1.0 / k
+            for i, (x, y) in enumerate(pts):
+                if s1 <= x and s2 <= y:
+                    wsum[i] += 1.0 / k
+            for i, (qx1, qx2, qy1, qy2) in enumerate(mm):
+                if s1 <= qx1 and s2 <= qx2 and t1 < qy1 and t2 < qy2:
+                    wsum_mm[i] += 1.0 / k
+            if k in path.checkpoints:
+                ell = math.log(k)
+                averages.append([w / ell for w in wsum])
+                averages_mm.append([w / ell for w in wsum_mm])
+                ceiling.append(harm / ell)
+        assert np.array_equal(path.averages, np.array(averages).T)
+        assert np.array_equal(path.maxmin_averages, np.array(averages_mm).T)
+        assert np.array_equal(path.ceiling, ceiling)
+
+    def test_checkpoints_beyond_n_max_are_rejected(self):
+        with pytest.raises(DomainError):
+            H.aslt_average(H.WeakAR1Model(1.0, 0.5), H.INDEPENDENT_ROWS, 1000, ((0.0, 0.0),), 1,
+                           checkpoints=(500, 2000))
 
     def test_expected_level_matches_exact_iid_formula(self):
         # lam=0, phi=0: P(M_k <= u_k(x)) = Phi(u_k(x))^k exactly
