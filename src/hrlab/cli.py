@@ -45,6 +45,9 @@ SEED_ENV_VAR = "HREXT_SEED"
 
 _TUPLE_FIELDS = ("tau", "n_grid", "grid", "grid4", "points")
 
+GRID_MAX_POINTS = 201  # per axis: hr-eval tabulates count^2 rows
+NGRID_MAX = 10**8      # bound sums cost O(n) per grid entry
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -106,17 +109,29 @@ def _parse_lambda(text: str) -> float:
     return value
 
 
+def _parse_real(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a real number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite real, got {text!r}")
+    return value
+
+
 def _parse_grid(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise argparse.ArgumentTypeError(f"grid must be lo:hi[:count], got {text!r}")
+    lo, hi = _parse_real(parts[0]), _parse_real(parts[1])
     try:
-        lo, hi = float(parts[0]), float(parts[1])
         count = int(parts[2]) if len(parts) == 3 else (1 if lo == hi else 2)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"grid must be lo:hi[:count], got {text!r}") from exc
     if hi < lo or count < 1 or (count == 1 and hi != lo):
         raise argparse.ArgumentTypeError(f"degenerate grid spec {text!r}")
+    if count > GRID_MAX_POINTS:
+        raise argparse.ArgumentTypeError(f"grid count is capped at {GRID_MAX_POINTS}, got {count}")
     return (lo, hi, count)
 
 
@@ -128,17 +143,14 @@ def _parse_tau(text: str) -> tuple[float, float, float]:
 
 
 def _parse_ngrid(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(float(v)) for v in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"ngrid must be comma-separated sizes, got {text!r}") from exc
+    sizes = tuple(int(v) for v in _parse_floats(text))  # finite, so int() cannot overflow
+    if max(sizes) > NGRID_MAX:
+        raise argparse.ArgumentTypeError(f"ngrid entries must be <= {NGRID_MAX:.0e}, got {text!r}")
+    return sizes
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}") from exc
+    return tuple(_parse_real(v) for v in text.split(","))
 
 
 def _parse_points(text: str) -> tuple[tuple[float, float], ...]:
@@ -200,16 +212,12 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _config_json(cfg: RunConfig) -> str:
-    return json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
-
-
 def render_csv(cfg: RunConfig, table: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     columns = list(table[0].keys()) if table else []
     writer.writerow(columns + ["artifact_version", "config"])
-    meta = [__version__, _config_json(cfg)]
+    meta = [__version__, json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))]
     for row in table:
         writer.writerow([_csv_cell(row[c]) for c in columns] + meta)
     return buf.getvalue()
@@ -512,7 +520,7 @@ def _but(flag, **overrides):
 
 
 LAMBDA = _flag("--lambda", dest="lam", type=_parse_lambda, required=True)
-PHI = _flag("--phi", type=float, required=True)
+PHI = _flag("--phi", type=_parse_real, required=True)
 TAU = _flag("--tau", type=_parse_tau, required=True, metavar="T11,T22,T12")
 N = _flag("--n", type=int, default=2000)
 REPS = _flag("--reps", type=int, default=10000)
@@ -525,7 +533,7 @@ COMMON = (
           help=f"master seed (falls back to ${SEED_ENV_VAR}, then 0)"),
     _flag("--format", choices=("csv", "json"), default="csv"),
     _flag("--out", default=None, help="output path (default: stdout)"),
-    _flag("--tol", type=float, default=None, help="override the pass threshold"),
+    _flag("--tol", type=_parse_real, default=None, help="override the pass threshold"),
     _flag("--workers", type=int, default=1,
           help="worker processes (>= 1; the pool is capped at the CPU count)"),
 )
@@ -545,7 +553,7 @@ COMMANDS = (
             cmd_verify_weak, (LAMBDA, PHI, N, REPS, GRID)),
     Command(("verify", "strong"), "strong-dependence Gaussian-mixture limit", cmd_verify_strong,
             (LAMBDA, TAU, N, REPS, GRID, _flag("--nodes", type=int, default=128),
-             _flag("--marginal-tol", type=float, default=None))),
+             _flag("--marginal-tol", type=_parse_real, default=None))),
     Command(("verify", "maxmin"), "asymptotic independence of maxima and minima",
             cmd_verify_maxmin,
             (LAMBDA, PHI, N, _but(REPS, default=20000),
@@ -563,8 +571,9 @@ COMMANDS = (
              _but(PHI, required=False), _but(TAU, required=False),
              _flag("--ngrid", dest="n_grid", type=_parse_ngrid, required=True,
                    metavar="N1,N2,..."),
-             _flag("--x", type=float, default=3.0), _flag("--y", type=float, default=3.0),
-             _flag("--epsilon", type=float, default=0.1), COUPLING)),
+             _flag("--x", type=_parse_real, default=3.0),
+             _flag("--y", type=_parse_real, default=3.0),
+             _flag("--epsilon", type=_parse_real, default=0.1), COUPLING)),
 )
 
 

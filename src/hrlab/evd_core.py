@@ -80,26 +80,23 @@ class MixtureParams:
                 f"tau12={self.tau12} exceeds sqrt(tau11*tau22)="
                 f"{math.sqrt(self.tau11 * self.tau22)}"
             )
-        if not math.isinf(self.lam) and self.lam * self.lam + self._tau_tilde() < -1e-15:
+        if not math.isinf(self.lam) and self.lam * self.lam + self.tau_tilde < -1e-15:
             raise DomainError(
-                f"lam^2={self.lam ** 2} < -tau_tilde={-self._tau_tilde()}: "
+                f"lam^2={self.lam ** 2} < -tau_tilde={-self.tau_tilde}: "
                 "shifted parameter would be imaginary"
             )
-
-    def _tau_tilde(self) -> float:
-        return self.tau12 - 0.5 * (self.tau11 + self.tau22)
 
     @property
     def tau_tilde(self) -> float:
         """tau12 - (tau11 + tau22)/2."""
-        return self._tau_tilde()
+        return self.tau12 - 0.5 * (self.tau11 + self.tau22)
 
     @property
     def lambda_tilde(self) -> float:
         """sqrt(lam^2 + tau_tilde), the parameter of the mixed limit law."""
         if math.isinf(self.lam):
             return math.inf
-        return math.sqrt(max(0.0, self.lam * self.lam + self._tau_tilde()))
+        return math.sqrt(max(0.0, self.lam * self.lam + self.tau_tilde))
 
     @property
     def rho_zw(self) -> float:

@@ -1,10 +1,10 @@
 """Monte Carlo and quadrature machinery confronting simulated extremes with
 the limit laws, plus exact evaluation of the comparison-lemma bound series.
 
-Empirical laws accumulate integer counts per grid node with one child RNG
-stream per replication, so results are independent of chunking and worker
-count.  Bound series involve no simulation at all: they are exact sums over
-the model's induced correlations.
+Empirical laws draw each replication from its own child RNG stream, keep its
+normalized extremes, and count grid events once in the parent, so results are
+independent of chunking and worker count.  Bound series involve no simulation
+at all: they are exact sums over the model's induced correlations.
 """
 
 import math
@@ -74,53 +74,36 @@ def _normalize(x1, x2, nm):
     )
 
 
-def _normalized_extremes(model, n, lineage, rep_lo, rep_hi):
-    """Yield (s1, s2, t1, t2) per replication."""
+def _extremes(model, n, lineage, rep_lo, rep_hi):
+    """Rows (s1, s2, t1, t2) of replications rep_lo..rep_hi-1, each from its own stream."""
     nm = norming_constants(n)
-    for rep in range(rep_lo, rep_hi):
-        yield _normalize(*model._sample(n, lineage.child(rep).generator()), nm)
+    out = np.empty((rep_hi - rep_lo, 4))
+    for i, rep in enumerate(range(rep_lo, rep_hi)):
+        out[i] = _normalize(*model._sample(n, lineage.child(rep).generator()), nm)
+    return out
 
 
-def _max_law_corner(model, n, lineage, rep_lo, rep_hi, gx, gy):
-    corner = np.zeros((gx.size + 1, gy.size + 1), dtype=np.int64)
-    for s1, s2, _, _ in _normalized_extremes(model, n, lineage, rep_lo, rep_hi):
-        corner[np.searchsorted(gx, s1), np.searchsorted(gy, s2)] += 1
-    return corner
+def _hits(ext, x1, x2, y1=np.inf, y2=np.inf):
+    """The event s1 <= x1, s2 <= x2, t1 < y1, t2 < y2 for each row of the
+    extremes ``ext`` (rows, 4) against 1-d threshold vectors: (rows, points)."""
+    s1, s2, t1, t2 = ext.T[:, :, None]
+    return (s1 <= x1) & (s2 <= x2) & (t1 < y1) & (t2 < y2)
 
 
-def _maxmin_counts(model, n, lineage, rep_lo, rep_hi, axes):
-    x1s, x2s, y1s, y2s = axes
-    counts = np.zeros((x1s.size, x2s.size, y1s.size, y2s.size), dtype=np.int64)
-    for s1, s2, t1, t2 in _normalized_extremes(model, n, lineage, rep_lo, rep_hi):
-        hit = (
-            (s1 <= x1s)[:, None, None, None]
-            & (s2 <= x2s)[None, :, None, None]
-            & (t1 < y1s)[None, None, :, None]
-            & (t2 < y2s)[None, None, None, :]
-        )
-        counts += hit
-    return counts
-
-
-def _chunk_ranges(total, workers):
-    per = math.ceil(total / workers)
-    return [(lo, min(lo + per, total)) for lo in range(0, total, per)]
-
-
-def _parallel_counts(fn, args, total, workers):
-    (model, n, lineage), tail = args[:3], args[3:]
+def _all_extremes(model, n, lineage, total, workers):
+    """The (total, 4) extremes of replications 0..total-1, in order."""
+    if total < 100:
+        raise DomainError(f"at least 100 replications required, got {total}")
+    model.validate_n(n)
     if workers <= 1:
-        return fn(model, n, lineage, 0, total, *tail)
-    ranges = _chunk_ranges(total, workers)
-    acc = None
+        return _extremes(model, n, lineage, 0, total)
     # chunks follow ``workers`` so results do not depend on the machine; the
     # pool, which forks all its processes at the first submit, is capped
+    per = math.ceil(total / workers)
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-        futures = [pool.submit(fn, model, n, lineage, lo, hi, *tail) for lo, hi in ranges]
-        for fut in futures:
-            part = fut.result()
-            acc = part if acc is None else acc + part
-    return acc
+        futures = [pool.submit(_extremes, model, n, lineage, lo, min(lo + per, total))
+                   for lo in range(0, total, per)]
+        return np.concatenate([fut.result() for fut in futures])
 
 
 def empirical_max_law(model: ArrayModel, n: int, R: int, grid, seed,
@@ -128,17 +111,16 @@ def empirical_max_law(model: ArrayModel, n: int, R: int, grid, seed,
     """Empirical bivariate CDF of ((M1 - b_n)/a_n, (M2 - b_n)/a_n) on a grid.
 
     ``grid`` is a pair (grid_x, grid_y) of strictly increasing vectors.
-    Counts are integers merged associatively, so the result is identical for
-    any worker count.
+    Counts are integers taken in the parent over every replication's extremes,
+    so the result is identical for any worker count.
     """
     n, R = int(n), int(R)
-    if R < 100:
-        raise DomainError(f"at least 100 replications required, got {R}")
     gx = _as_axis(grid[0], "grid_x")
     gy = _as_axis(grid[1], "grid_y")
     lineage = as_lineage(seed)
-    model.validate_n(n)
-    corner = _parallel_counts(_max_law_corner, (model, n, lineage, gx, gy), R, workers)
+    ext = _all_extremes(model, n, lineage, R, workers)
+    corner = np.zeros((gx.size + 1, gy.size + 1), dtype=np.int64)
+    np.add.at(corner, (np.searchsorted(gx, ext[:, 0]), np.searchsorted(gy, ext[:, 1])), 1)
     counts = corner.cumsum(axis=0).cumsum(axis=1)[: gx.size, : gy.size]
     return EmpiricalLaw2D(
         grid_x=gx, grid_y=gy, cdf=counts / R, replications=R, n=n, master_seed=lineage
@@ -151,14 +133,13 @@ def empirical_maxmin_law(model: ArrayModel, n: int, R: int, grid4, seed,
     -u_n(y1) < m1 <= M1 <= u_n(x1), -u_n(y2) < m2 <= M2 <= u_n(x2)
     on a small 4-d grid (at most 3 points per axis)."""
     n, R = int(n), int(R)
-    if R < 100:
-        raise DomainError(f"at least 100 replications required, got {R}")
     axes = tuple(_as_axis(a, f"grid4[{i}]") for i, a in enumerate(grid4))
     if any(a.size > 3 for a in axes):
         raise DomainError("grid4 axes are capped at 3 points each (cost guard)")
     lineage = as_lineage(seed)
-    model.validate_n(n)
-    counts = _parallel_counts(_maxmin_counts, (model, n, lineage, axes), R, workers)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    hits = _hits(_all_extremes(model, n, lineage, R, workers), *(m.ravel() for m in mesh))
+    counts = hits.sum(axis=0).reshape(mesh[0].shape)
     return EmpiricalLaw4D(
         grid_x1=axes[0], grid_x2=axes[1], grid_y1=axes[2], grid_y2=axes[3],
         prob=counts / R, replications=R, n=n, master_seed=lineage,
@@ -362,12 +343,10 @@ def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed
 
     # cumsum adds in row order, one term at a time, so each running sum equals
     # the loop's; a miss adds inv_k * False == 0.0, which changes no sum
-    s1, s2, t1, t2 = extremes.T[:, :, None]
-    px, py = np.array(points, dtype=float).reshape(-1, 2).T
-    qx1, qx2, qy1, qy2 = np.array(maxmin_points, dtype=float).reshape(-1, 4).T
     inv_k = 1.0 / rows
-    wsum = np.cumsum(inv_k[:, None] * ((s1 <= px) & (s2 <= py)), axis=0)
-    hits_mm = (s1 <= qx1) & (s2 <= qx2) & (t1 < qy1) & (t2 < qy2)
+    hits = _hits(extremes, *np.reshape(points, (-1, 2)).T)
+    hits_mm = _hits(extremes, *np.reshape(maxmin_points, (-1, 4)).T)
+    wsum = np.cumsum(inv_k[:, None] * hits, axis=0)
     wsum_mm = np.cumsum(inv_k[:, None] * hits_mm, axis=0)
     at = [cp - k_start for cp in checkpoints]
     ell = np.array([math.log(cp) for cp in checkpoints])

@@ -126,13 +126,28 @@ class StrongFactorModel:
         return (self.rho0(n) - t12) / math.sqrt((1.0 - t11) * (1.0 - t22))
 
     def min_n(self) -> int:
-        n = max(2, math.ceil(math.exp(max(self.mix.tau11, self.mix.tau22))))
-        while n < 10**9:
+        """Smallest valid row size.  With L = ln n, g = sqrt(tau11 tau22) and
+        d = (tau11 + tau22)/2 - g, n is valid exactly when L > max(tau11, tau22),
+        L >= lam^2/2 and L >= (lam^2 + tau12 + g)/2 * (1 + d/lambda_tilde^2)."""
+        mp = self.mix
+        lam2 = mp.lam * mp.lam
+        g = math.sqrt(mp.tau11 * mp.tau22)
+        d = 0.5 * (math.sqrt(mp.tau11) - math.sqrt(mp.tau22)) ** 2
+        lt2 = lam2 + mp.tau_tilde
+        # lambda_tilde^2 <= 0 is zero up to rounding: feasible only if d = 0
+        span = 1.0 + d / lt2 if lt2 > 0.0 else (1.0 if d == 0.0 else math.inf)
+        ell = max(mp.tau11, mp.tau22, lam2 / 2.0, 0.5 * (lam2 + mp.tau12 + g) * span)
+        if ell >= math.log(10**9):
+            raise DomainError("no valid row size below 1e9")
+        # past the threshold every n is valid up to rounding, so a run of
+        # rejections means rounding rules out the larger n as well
+        start = max(2, math.floor(math.exp(ell)))
+        for n in range(start, start + 1000):
             try:
                 self.validate_n(n)
                 return n
             except DomainError:
-                n += 1
+                pass
         raise DomainError("no valid row size below 1e9")
 
     def validate_n(self, n: int):

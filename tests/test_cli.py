@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import hrlab as H
+from hrlab import cli
 from hrlab.cli import RunConfig, main
 
 
@@ -211,6 +212,48 @@ class TestVerifyCommands:
         assert code == 2
         assert out == ""
         assert err.strip().startswith("error:")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("verify", "bounds", "--kind", "L1", "--lambda", "1", "--phi", "0.5",
+             "--ngrid", "1e3", "--x", "nan"),
+            ("verify", "bounds", "--lambda", "1", "--phi", "0.5", "--ngrid", "1e3",
+             "--y", "-inf"),
+            ("verify", "bounds", "--kind", "rate", "--lambda", "1", "--phi", "0.5",
+             "--ngrid", "1e3", "--epsilon", "inf"),
+            ("verify", "weak", "--lambda", "1", "--phi", "nan"),
+            ("verify", "weak", "--lambda", "1", "--phi", "0.3", "--tol", "nan"),
+            ("verify", "strong", "--lambda", "1", "--tau", "1,1,0.8", "--marginal-tol", "inf"),
+            ("verify", "strong", "--lambda", "1", "--tau", "1,nan,0.8"),
+            ("verify", "maxmin", "--lambda", "1", "--phi", "0.5", "--grid4", "0.5,inf"),
+            ("verify", "aslt", "--lambda", "1", "--phi", "0.5", "--points", "0,nan"),
+            ("hr-eval", "--lambda", "1", "--grid", "nan:1"),
+            ("hr-eval", "--lambda", "1", "--grid", "0:inf:3"),
+            ("hr-eval", "--lambda", "1", "--grid", "0:1:100000000"),
+            ("verify", "bounds", "--lambda", "1", "--phi", "0.5", "--ngrid", "inf"),
+            ("verify", "bounds", "--lambda", "1", "--phi", "0.5", "--ngrid", "1e3,1e12"),
+        ],
+        ids=["x-nan", "y-neg-inf", "epsilon-inf", "phi-nan", "tol-nan", "marginal-tol-inf",
+             "tau-nan", "grid4-inf", "points-nan", "grid-lo-nan", "grid-hi-inf",
+             "grid-count-1e8", "ngrid-inf", "ngrid-1e12"],
+    )
+    def test_non_finite_or_oversized_flag_is_usage_error(self, capsys, args):
+        # argparse rejects the value before any work: exit 2 and a usage
+        # message naming the flag, never a traceback or a report
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert "error: argument" in err
+        assert "Traceback" not in err
+
+    def test_grid_and_ngrid_caps_are_inclusive(self, capsys):
+        code, out, _ = run_cli(capsys, "hr-eval", "--lambda", "1", "--grid", "0:1:201")
+        assert code == 0
+        assert len(parse_csv(out)) == 201**2
+        ns = cli.build_parser().parse_args(
+            ["verify", "bounds", "--lambda", "1", "--phi", "0.5", "--ngrid", "1e8"])
+        assert ns.n_grid == (10**8,)
 
     def test_unwritable_out_is_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "no-such-dir" / "r.csv"

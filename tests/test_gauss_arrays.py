@@ -1,9 +1,12 @@
 """Triangular-array samplers, induced correlations, and assumption validators."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import hrlab as H
@@ -86,6 +89,38 @@ class TestStrongFactorSampling:
         with pytest.raises(DomainError):
             H.sample_row(sf, 2, 1)  # ln 2 < tau11
         H.sample_row(sf, sf.min_n(), 1)
+
+    @settings(deadline=1000)  # each min_n call must finish well under 1 s
+    @given(
+        st.floats(0.01, 8.0), st.floats(0.01, 8.0), st.floats(0.01, 1.0),
+        st.floats(0.0, 6.0),
+    )
+    def test_min_n_is_the_smallest_valid_row_size(self, t11, t22, rho, excess):
+        t12 = rho * math.sqrt(t11 * t22)
+        lam = math.sqrt(max(0.0, 0.5 * (t11 + t22) - t12) + excess)  # lam^2 >= -tau_tilde
+        try:
+            sf = H.StrongFactorModel(H.MixtureParams(t11, t22, t12, lam))
+        except DomainError:
+            assume(False)
+        try:
+            n = sf.min_n()
+        except DomainError:
+            return  # no valid row size below 1e9
+        sf.validate_n(n)
+        if n > 2:
+            with pytest.raises(DomainError):
+                sf.validate_n(n - 1)
+
+    def test_min_n_rejects_infeasible_parameters_at_once(self):
+        # lambda_tilde = 0 with tau11 != tau22: the residual correlation
+        # exceeds 1 at every n, which a scan over n would take an hour to learn
+        sf = H.StrongFactorModel(
+            H.MixtureParams(1.0, 0.5, math.sqrt(0.5), math.sqrt(0.75 - math.sqrt(0.5)))
+        )
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="no valid row size"):
+            sf.min_n()
+        assert time.perf_counter() - start < 1.0
 
     def test_lagged_cross_moment_matches_construction(self):
         # shared-factor construction: E X_k^(1) X_l^(2) = tau12 / ln(n) for k != l

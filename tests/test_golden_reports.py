@@ -64,3 +64,11 @@ def report_digest(tmp_path, argv, fmt):
 @pytest.mark.parametrize(("case", "fmt"), list(GOLDEN), ids=[f"{c}-{f}" for c, f in GOLDEN])
 def test_report_bytes_are_pinned(tmp_path, case, fmt):
     assert report_digest(tmp_path, CASES[case], fmt) == GOLDEN[(case, fmt)]
+
+
+@pytest.mark.parametrize("case", ["weak", "strong", "maxmin"])
+def test_pool_path_gives_the_pinned_bytes(tmp_path, case):
+    # the process pool splits replications into chunks and joins their
+    # extremes; the report must equal the pinned in-process one
+    argv = (*CASES[case], "--workers", "2")
+    assert report_digest(tmp_path, argv, "json") == GOLDEN[(case, "json")]
