@@ -7,7 +7,7 @@ that produced it.  Identical (config, seed, version) produce byte-identical
 output regardless of worker count.
 
 Exit codes: 0 verification passed, 1 verification failed, 2 usage or
-configuration error.
+configuration error, 3 any other runtime error (memory, worker pool, ...).
 """
 
 import argparse
@@ -636,6 +636,9 @@ def main(argv=None) -> int:
         # OSError: chiefly an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # e.g. MemoryError, RuntimeError, BrokenProcessPool
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return 0 if passed is None or passed else 1
 
 

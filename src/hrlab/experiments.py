@@ -274,13 +274,8 @@ def _shared_row(model, k, rng, eta, c):
     # stationary start pair is row-fresh; the persistent sequence enters the
     # innovations only, so within-row law is exactly the model's
     rho0 = model.rho0(k)
-    rho_xi = (rho0 - c) / (1.0 - c)
-    if not -1.0 <= rho_xi <= 1.0:
-        raise DomainError(
-            f"shared coupling weight c={c:g} incompatible with rho_0({k})={rho0:g}"
-        )
     s1, s2 = _pair(rng.standard_normal(2), rho0)
-    xi1, xi2 = _pair(rng.standard_normal((2, k)), rho_xi)
+    xi1, xi2 = _pair(rng.standard_normal((2, k)), (rho0 - c) / (1.0 - c))
     root_c, root_1c = math.sqrt(c), math.sqrt(1.0 - c)
     e1 = root_c * eta[:k] + root_1c * xi1
     e2 = root_c * eta[:k] + root_1c * xi2
@@ -288,7 +283,7 @@ def _shared_row(model, k, rng, eta, c):
 
 
 def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed,
-                 maxmin_points=(), checkpoints=None, allow_large=False) -> ASLTPath:
+                 maxmin_points=(), checkpoints=None) -> ASLTPath:
     """One almost-sure-limit-theorem path: the running averages
     (1/ln n) sum_{k<=n} (1/k) I(M_k^(1) <= u_k(x), M_k^(2) <= u_k(y))
     reported at checkpoint row sizes, for each requested (x, y).
@@ -296,22 +291,19 @@ def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed
     ``maxmin_points`` adds the four-sided indicator variant
     I(-u_k(y1) < m1 <= M1 <= u_k(x1), -u_k(y2) < m2 <= M2 <= u_k(x2)) for
     4-tuples (x1, x2, y1, y2).  Rows are O(k) each, so total work grows like
-    n_max^2; row sizes above 1e5 are refused unless ``allow_large`` is set.
+    n_max^2; n_max above ASLT_HARD_CAP = 1e5 is refused.
 
-    The sum starts at the smallest row size the model supports (>= 2, since
-    the norming constants need ln(n) > 0); the discarded initial terms are
-    O(1/ln n) and do not affect the limit.
+    The sum starts at the model's smallest valid row size ``min_n()`` (>= 2,
+    since the norming constants need ln(n) > 0); the discarded initial terms
+    are O(1/ln n) and do not affect the limit.
     """
     if not isinstance(model, WeakAR1Model):
         raise DomainError("ASLT paths are implemented for the weak-dependence AR(1) model")
     n_max = int(n_max)
     if n_max < 1000:
         raise DomainError(f"n_max must be >= 1000, got {n_max}")
-    if n_max > ASLT_HARD_CAP and not allow_large:
-        raise DomainError(
-            f"n_max={n_max} exceeds the cost guard {ASLT_HARD_CAP}; "
-            "pass allow_large=True to override"
-        )
+    if n_max > ASLT_HARD_CAP:
+        raise DomainError(f"n_max={n_max} exceeds the cost guard {ASLT_HARD_CAP}")
     points = tuple((float(x), float(y)) for x, y in points)
     maxmin_points = tuple(tuple(float(v) for v in q) for q in maxmin_points)
     if any(len(q) != 4 for q in maxmin_points):
@@ -321,7 +313,7 @@ def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed
     checkpoints = tuple(sorted(set(int(c) for c in checkpoints)))
 
     lineage = as_lineage(seed)
-    k_start = max(2, model.min_n())
+    k_start = model.min_n()
     if any(not k_start <= cp <= n_max for cp in checkpoints):
         raise DomainError(f"checkpoints must lie in [{k_start}, n_max] for this model")
 
@@ -329,7 +321,14 @@ def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed
     if coupling.kind == "shared":
         # child(0) is reserved for the persistent sequence; rows use child(k), k >= 2
         eta = lineage.child(0).generator().standard_normal(n_max)
-        _shared_row(model, k_start, lineage.child(1).generator(), eta, coupling.c)  # validate c
+        # rho_0(k) increases with k, so the first row bounds the residual
+        # correlation (rho_0(k) - c) / (1 - c) <= 1 from below for all rows
+        rho0 = model.rho0(k_start)
+        if (rho0 - coupling.c) / (1.0 - coupling.c) < -1.0:
+            raise DomainError(
+                f"shared coupling weight c={coupling.c:g} incompatible with "
+                f"rho_0({k_start})={rho0:g}"
+            )
 
     rows = np.arange(k_start, n_max + 1)
     extremes = np.empty((rows.size, 4))

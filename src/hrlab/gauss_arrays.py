@@ -59,8 +59,27 @@ def _ar1_path(phi, start, innovations):
     return out
 
 
+def _first_size(ell):
+    """Smallest row size n >= 2 with ln(n) >= ell."""
+    if ell >= math.log(10**9):
+        raise DomainError("no valid row size below 1e9")
+    n = max(2, math.floor(math.exp(ell)))
+    while math.log(n) < ell:
+        n += 1
+    return n
+
+
+class _RowSizeRule:
+    """Valid row sizes are exactly n >= min_n(), the model's one row-size rule."""
+
+    def validate_n(self, n: int):
+        least = self.min_n()
+        if n < least:
+            raise DomainError(f"row size must be >= {least} for this model, got {n}")
+
+
 @dataclass(frozen=True)
-class WeakAR1Model:
+class WeakAR1Model(_RowSizeRule):
     """Coupled-innovation AR(1) pair; lag correlations phi^k and rho_0(n) phi^k."""
 
     lam: float
@@ -80,15 +99,8 @@ class WeakAR1Model:
         return rho0_from_lambda(self.lam, n)
 
     def min_n(self) -> int:
-        """Smallest row size for which rho_0(n) is a valid correlation."""
-        if math.isinf(self.lam):
-            return 2
-        return max(2, math.ceil(math.exp(self.lam * self.lam / 2.0) - 1e-9))
-
-    def validate_n(self, n: int):
-        if n < 2:
-            raise DomainError(f"row size must be >= 2, got {n}")
-        self.rho0(n)
+        """Smallest valid row size: rho_0(n) >= -1 exactly when ln n >= lam^2/2."""
+        return _first_size(0.0 if math.isinf(self.lam) else self.lam * self.lam / 2.0)
 
     def lag_corr(self, i, j, k, n):
         base = self.phi**k
@@ -109,7 +121,7 @@ class WeakAR1Model:
 
 
 @dataclass(frozen=True)
-class StrongFactorModel:
+class StrongFactorModel(_RowSizeRule):
     """Shared-factor construction with constant lagged correlations tau_ij / ln(n)."""
 
     mix: MixtureParams
@@ -136,32 +148,8 @@ class StrongFactorModel:
         lt2 = lam2 + mp.tau_tilde
         # lambda_tilde^2 <= 0 is zero up to rounding: feasible only if d = 0
         span = 1.0 + d / lt2 if lt2 > 0.0 else (1.0 if d == 0.0 else math.inf)
-        ell = max(mp.tau11, mp.tau22, lam2 / 2.0, 0.5 * (lam2 + mp.tau12 + g) * span)
-        if ell >= math.log(10**9):
-            raise DomainError("no valid row size below 1e9")
-        # past the threshold every n is valid up to rounding, so a run of
-        # rejections means rounding rules out the larger n as well
-        start = max(2, math.floor(math.exp(ell)))
-        for n in range(start, start + 1000):
-            try:
-                self.validate_n(n)
-                return n
-            except DomainError:
-                pass
-        raise DomainError("no valid row size below 1e9")
-
-    def validate_n(self, n: int):
-        if n < 2:
-            raise DomainError(f"row size must be >= 2, got {n}")
-        ell = math.log(n)
-        if ell <= max(self.mix.tau11, self.mix.tau22):
-            raise DomainError(
-                f"ln(n)={ell:g} must exceed max(tau11, tau22)="
-                f"{max(self.mix.tau11, self.mix.tau22):g}"
-            )
-        r = self.residual_corr(n)
-        if not -1.0 <= r <= 1.0:
-            raise DomainError(f"residual correlation {r:g} outside [-1, 1] at n={n}")
+        above_taus = math.nextafter(max(mp.tau11, mp.tau22), math.inf)
+        return _first_size(max(above_taus, lam2 / 2.0, 0.5 * (lam2 + mp.tau12 + g) * span))
 
     def lag_corr(self, i, j, k, n):
         t11, t22, t12 = self.taus(n)
@@ -181,7 +169,7 @@ class StrongFactorModel:
 
 
 @dataclass(frozen=True)
-class ExplicitModel:
+class ExplicitModel(_RowSizeRule):
     """Arbitrary stationary correlation structure, sampled via dense Cholesky.
 
     ``rho0_fn(n)`` gives the within-pair correlation; ``rho_fn(i, j, k, n)``
@@ -201,8 +189,7 @@ class ExplicitModel:
         return 2
 
     def validate_n(self, n: int):
-        if n < 2:
-            raise DomainError(f"row size must be >= 2, got {n}")
+        super().validate_n(n)
         if n > EXPLICIT_MAX_N:
             raise DomainError(
                 f"explicit models are capped at n={EXPLICIT_MAX_N} "
@@ -217,17 +204,13 @@ class ExplicitModel:
 
     def correlation_matrix(self, n: int) -> np.ndarray:
         """Interleaved 2n x 2n correlation matrix (index 2k+i-1 is X_k^(i))."""
-        by_lag = {}
-        for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            vals = np.empty(n)
-            vals[0] = 1.0 if i == j else self.rho0(n)
-            for k in range(1, n):
-                vals[k] = self.rho_fn(i, j, k, n)
-            by_lag[i, j] = vals
         lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
         sigma = np.empty((2 * n, 2 * n))
         for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            sigma[i - 1 :: 2, j - 1 :: 2] = by_lag[i, j][lag]
+            vals = np.empty(n)
+            vals[0] = 1.0 if i == j else self.rho0(n)
+            vals[1:] = self.lag_corr_array(i, j, np.arange(1, n), n)
+            sigma[i - 1 :: 2, j - 1 :: 2] = vals[lag]
         return sigma
 
     def _sample(self, n, rng):

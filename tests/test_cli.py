@@ -204,8 +204,12 @@ class TestVerifyCommands:
             ("verify", "aslt", "--lambda", "1", "--phi", "0.5", "--nmax", "1000", "--seeds", "1"),
             ("hr-eval", "--lambda", "1", "--grid", "0:0", "--workers", "0"),
             ("hr-eval", "--lambda", "1", "--grid", "0:0", "--workers", "-3"),
+            # lam^2/2 = 800 is far above ln 1e9, and exp(800) overflows a float
+            ("verify", "aslt", "--lambda", "40", "--phi", "0.5", "--nmax", "1000",
+             "--seeds", "2"),
         ],
-        ids=["nodes-0", "seeds-0", "seeds-1", "workers-0", "workers-negative"],
+        ids=["nodes-0", "seeds-0", "seeds-1", "workers-0", "workers-negative",
+             "aslt-lambda-40"],
     )
     def test_out_of_range_count_is_exit_2(self, capsys, args):
         code, out, err = run_cli(capsys, *args)
@@ -254,6 +258,25 @@ class TestVerifyCommands:
         ns = cli.build_parser().parse_args(
             ["verify", "bounds", "--lambda", "1", "--phi", "0.5", "--ngrid", "1e8"])
         assert ns.n_grid == (10**8,)
+
+    def test_aslt_starts_at_its_own_min_n(self, capsys):
+        # lam^2/2 lies just above ln 7, so the first row is n = 8; a rule that
+        # started at 7 and then rejected it would exit 2
+        code, _, err = run_cli(
+            capsys, "verify", "aslt", "--lambda", "1.9727697022849584", "--phi", "0.5",
+            "--nmax", "1000", "--seeds", "2",
+        )
+        assert code in (0, 1), err
+
+    def test_unexpected_error_is_exit_3(self, capsys, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("bisection did not converge")
+
+        monkeypatch.setattr(cli, "hr_cdf", boom)
+        code, out, err = run_cli(capsys, "hr-eval", "--lambda", "1", "--grid", "0:0")
+        assert code == 3
+        assert out == ""
+        assert err == "error: RuntimeError: bisection did not converge\n"
 
     def test_unwritable_out_is_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "no-such-dir" / "r.csv"

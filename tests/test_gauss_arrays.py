@@ -1,5 +1,6 @@
 """Triangular-array samplers, induced correlations, and assumption validators."""
 
+import itertools
 import math
 import time
 
@@ -122,6 +123,15 @@ class TestStrongFactorSampling:
             sf.min_n()
         assert time.perf_counter() - start < 1.0
 
+    def test_validity_is_monotone_at_the_feasibility_edge(self):
+        # lambda_tilde^2 = -1.1e-16: the residual correlation is 1 up to
+        # rounding at every n, so a rule that read it would flip between n
+        sf = H.StrongFactorModel(H.MixtureParams(1.0, 1.0, 0.9999999999999999, 0.0))
+        assert sf.min_n() == 3
+        for n in range(3, 13):
+            sf.validate_n(n)
+        H.sample_row(sf, 3, 1)
+
     def test_lagged_cross_moment_matches_construction(self):
         # shared-factor construction: E X_k^(1) X_l^(2) = tau12 / ln(n) for k != l
         sf = H.StrongFactorModel(H.MixtureParams(1.0, 1.0, 1.0, 1.0))
@@ -131,6 +141,53 @@ class TestStrongFactorSampling:
             row = H.sample_row(sf, n, H.SeedLineage(808).child(rep))
             vals[rep] = float((row.x1[:-1] * row.x2[1:]).mean())
         assert abs(vals.mean() - 1.0 / math.log(n)) <= 0.01
+
+
+def _strong_or_none(t11, t22, rho, excess):
+    t12 = rho * math.sqrt(t11 * t22)
+    lam = math.sqrt(max(0.0, 0.5 * (t11 + t22) - t12) + excess)  # lam^2 >= -tau_tilde
+    try:
+        return H.StrongFactorModel(H.MixtureParams(t11, t22, t12, lam))
+    except DomainError:
+        return None
+
+
+class TestRowSizeRule:
+    """validate_n(n) passes exactly when n >= min_n(), and the sampler's
+    correlations are proper at every size the rule accepts."""
+
+    @staticmethod
+    def _check(model, corr):
+        try:
+            least = model.min_n()
+        except DomainError:
+            return  # no valid row size below 1e9
+        # sizes near 2 and around min_n; the whole range can hold 1e8 sizes
+        for n in sorted(set(range(2, 52)) | set(range(max(2, least - 50), least + 51))):
+            if n >= least:
+                model.validate_n(n)
+                assert abs(corr(n)) <= 1.0 + 1e-9
+            else:
+                with pytest.raises(DomainError):
+                    model.validate_n(n)
+        if least <= 10**5:  # a larger row would only cost memory
+            H.sample_row(model, least, 1)
+
+    @settings(deadline=None)
+    @given(st.floats(0.0, 6.0))
+    def test_weak(self, lam):
+        m = H.WeakAR1Model(lam, 0.5)
+        self._check(m, m.rho0)
+
+    @settings(deadline=None)
+    @given(
+        st.floats(0.01, 8.0), st.floats(0.01, 8.0), st.floats(0.01, 1.0),
+        st.floats(0.0, 6.0),
+    )
+    def test_strong(self, t11, t22, rho, excess):
+        sf = _strong_or_none(t11, t22, rho, excess)
+        assume(sf is not None)
+        self._check(sf, sf.residual_corr)
 
 
 class TestExplicitSampling:
@@ -153,6 +210,16 @@ class TestExplicitSampling:
             H.sample_row(bad, 4, 1)
         assert exc.value.minor_index is not None
         assert exc.value.minor_index > 1
+
+    def test_correlation_matrix_entries(self):
+        # index 2k+i-1 is X_k^(i); entry (s, t) is the lag-|t-s| correlation
+        _, em = _weak_mirror_explicit()
+        n = 40
+        sigma = em.correlation_matrix(n)
+        for (a, i), (b, j) in itertools.product(itertools.product(range(n), (1, 2)), repeat=2):
+            k = abs(b - a)
+            ii, jj = (i, j) if b >= a else (j, i)
+            assert sigma[2 * a + i - 1, 2 * b + j - 1] == H.induced_correlation(em, ii, jj, k, n)
 
     def test_desk_scale_ceiling(self):
         _, em = _weak_mirror_explicit()
