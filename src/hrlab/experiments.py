@@ -17,7 +17,9 @@ from scipy import special
 
 from .errors import DomainError
 from .evd_core import MixtureParams, gumbel_cdf, hr_cdf
-from .gauss_arrays import _PAIRS, ArrayModel, StrongFactorModel, WeakAR1Model, _ar1_path, _pair
+from .gauss_arrays import (
+    _PAIRS, ArrayModel, StrongFactorModel, WeakAR1Model, _ar1_path, _lfilter, _pair,
+)
 from .norming import norming_constants
 from .seeding import SeedLineage, as_lineage
 
@@ -100,6 +102,8 @@ def _all_extremes(model, n, lineage, total, workers):
     # chunks follow ``workers`` so results do not depend on the machine; the
     # pool, which forks all its processes at the first submit, is capped
     per = math.ceil(total / workers)
+    if isinstance(model, WeakAR1Model) and model.phi != 0.0:
+        _lfilter()  # load the filter once here, not once in every forked worker
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         futures = [pool.submit(_extremes, model, n, lineage, lo, min(lo + per, total))
                    for lo in range(0, total, per)]

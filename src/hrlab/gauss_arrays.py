@@ -13,6 +13,9 @@ Three variants:
 Every sampler is deterministic given a seed lineage; one child stream per
 row/replication is part of the contract, so results are identical under any
 worker schedule.
+
+``scipy.signal`` (the AR(1) filter) and ``scipy.linalg`` (LAPACK's Cholesky)
+are loaded on first use, so importing the package does not pay for them.
 """
 
 import math
@@ -21,8 +24,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lapack
-from scipy.signal import lfilter
 
 from .errors import DomainError, ModelError
 from .norming import rho0_from_lambda
@@ -50,12 +51,20 @@ def _pair(rng_block, rho):
     return z0, rho * z0 + math.sqrt(max(0.0, 1.0 - rho * rho)) * z1
 
 
+@lru_cache(maxsize=None)
+def _lfilter():
+    """scipy's linear filter; ``scipy.signal`` is imported on the first call."""
+    from scipy.signal import lfilter
+
+    return lfilter
+
+
 def _ar1_path(phi, start, innovations):
     """Stationary AR(1) path: x_k = phi x_{k-1} + sqrt(1-phi^2) eps_k, x_0 = start."""
     if phi == 0.0:
         return innovations.copy()
     scaled = math.sqrt(1.0 - phi * phi) * innovations
-    out, _ = lfilter([1.0], [1.0, -phi], scaled, zi=np.array([phi * start]))
+    out, _ = _lfilter()([1.0], [1.0, -phi], scaled, zi=np.array([phi * start]))
     return out
 
 
@@ -203,14 +212,21 @@ class ExplicitModel(_RowSizeRule):
         return np.array([self.rho_fn(i, j, int(k), n) for k in np.asarray(lags).ravel()])
 
     def correlation_matrix(self, n: int) -> np.ndarray:
-        """Interleaved 2n x 2n correlation matrix (index 2k+i-1 is X_k^(i))."""
-        lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        sigma = np.empty((2 * n, 2 * n))
+        """Interleaved 2n x 2n correlation matrix (index 2k+i-1 is X_k^(i)).
+
+        Entry (X_a^(i), X_b^(j)) is rho_fn(i, j, b-a) when b >= a and
+        rho_fn(j, i, a-b) when b < a, so the matrix is symmetric by construction.
+        """
+        back = np.subtract.outer(np.arange(n), np.arange(n))  # a - b
+        lag = np.abs(back)
+        vals = {}
         for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            vals = np.empty(n)
-            vals[0] = 1.0 if i == j else self.rho0(n)
-            vals[1:] = self.lag_corr_array(i, j, np.arange(1, n), n)
-            sigma[i - 1 :: 2, j - 1 :: 2] = vals[lag]
+            v = vals[i, j] = np.empty(n)
+            v[0] = 1.0 if i == j else self.rho0(n)
+            v[1:] = self.lag_corr_array(i, j, np.arange(1, n), n)
+        sigma = np.empty((2 * n, 2 * n))
+        for i, j in vals:
+            sigma[i - 1 :: 2, j - 1 :: 2] = np.where(back <= 0, vals[i, j][lag], vals[j, i][lag])
         return sigma
 
     def _sample(self, n, rng):
@@ -221,6 +237,8 @@ class ExplicitModel(_RowSizeRule):
 
 @lru_cache(maxsize=8)
 def _explicit_factor(model: ExplicitModel, n: int) -> np.ndarray:
+    from scipy.linalg import lapack
+
     sigma = model.correlation_matrix(n)
     c, info = lapack.dpotrf(sigma, lower=1)
     if info > 0:

@@ -221,6 +221,19 @@ class TestExplicitSampling:
             ii, jj = (i, j) if b >= a else (j, i)
             assert sigma[2 * a + i - 1, 2 * b + j - 1] == H.induced_correlation(em, ii, jj, k, n)
 
+    def test_asymmetric_cross_lags_keep_their_direction(self):
+        # corr(X_0^(1), X_1^(2)) = 0.3 while corr(X_1^(1), X_0^(2)) = 0
+        em = H.ExplicitModel(lambda n: 0.0,
+                             lambda i, j, k, n: 0.3 if (i, j, k) == (1, 2, 1) else 0.0)
+        n = 3
+        sigma = em.correlation_matrix(n)
+        np.testing.assert_array_equal(sigma, sigma.T)
+        for (a, i), (b, j) in itertools.product(itertools.product(range(n), (1, 2)), repeat=2):
+            k = abs(b - a)
+            ii, jj = (i, j) if b >= a else (j, i)
+            assert sigma[2 * a + i - 1, 2 * b + j - 1] == H.induced_correlation(em, ii, jj, k, n)
+        assert sigma[0, 3] == 0.3 and sigma[2, 1] == 0.0
+
     def test_desk_scale_ceiling(self):
         _, em = _weak_mirror_explicit()
         with pytest.raises(DomainError):

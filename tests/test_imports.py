@@ -1,0 +1,48 @@
+"""Start-up cost: which scipy subpackages the lab loads, and when.
+
+Each check runs in a fresh interpreter, because this test process has long
+since imported everything.
+"""
+
+import os
+import subprocess
+import sys
+
+import hrlab
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(hrlab.__file__)))
+HEAVY = ("scipy.signal", "scipy.stats", "scipy.linalg")
+
+
+def _loaded_after(code):
+    """Names from HEAVY in sys.modules after running ``code`` in a fresh interpreter."""
+    probe = f"{code}\nimport sys\nprint(','.join(m for m in {HEAVY!r} if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    return set(filter(None, out.stdout.strip().split(",")))
+
+
+def test_import_and_parser_leave_heavy_scipy_unloaded():
+    assert _loaded_after("import hrlab") == set()
+    assert _loaded_after("import hrlab.cli; hrlab.cli.build_parser()") == set()
+
+
+_POOL_RUN = """
+import numpy as np
+import hrlab as H
+grid = np.linspace(-1.0, 3.0, 5)
+H.empirical_max_law({model}, 200, 100, (grid, grid), 0, workers=2)
+"""
+
+
+def test_filter_is_loaded_in_the_parent_before_the_pool_forks():
+    # forked workers inherit what the parent has loaded; without this each
+    # worker of each pool would import scipy.signal on its own
+    loaded = _loaded_after(_POOL_RUN.format(model="H.WeakAR1Model(1.0, 0.2)"))
+    assert "scipy.signal" in loaded
+
+
+def test_strong_model_pool_never_loads_the_filter():
+    model = "H.StrongFactorModel(H.MixtureParams(1.0, 1.0, 0.8, 1.0))"
+    assert "scipy.signal" not in _loaded_after(_POOL_RUN.format(model=model))
