@@ -13,7 +13,6 @@ configuration error, 3 any other runtime error (memory, worker pool, ...).
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -135,6 +134,16 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return (lo, hi, count)
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer seed, got {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text!r}")
+    return value
+
+
 def _parse_tau(text: str) -> tuple[float, float, float]:
     parts = _parse_floats(text)
     if len(parts) != 3:
@@ -194,9 +203,9 @@ def _resolve_seed(ns) -> int:
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
-            return int(env)
-        except ValueError as exc:
-            raise HrlabError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
+            return _parse_seed(env)
+        except argparse.ArgumentTypeError as exc:
+            raise HrlabError(f"{SEED_ENV_VAR} must be an integer >= 0, got {env!r}") from exc
     return 0
 
 
@@ -253,21 +262,30 @@ def emit(cfg: RunConfig, table: list[dict], summary: dict, passed,
 # commands: each maps a RunConfig and a worker count to (table, summary, passed)
 # ---------------------------------------------------------------------------
 
+def _grid_rows(axes, names, **columns) -> list[dict]:
+    """The table over the product of ``axes``: one row per point, in C order,
+    holding the point's coordinates under ``names``, then each column's value
+    at that point.  An ndarray column is broadcast against the grid; any other
+    value is shared by every row.  Coordinates and array cells come out as
+    Python scalars."""
+    shape = tuple(len(a) for a in axes)
+    coords = [np.asarray(a).tolist() for a in axes]
+    cells = {k: np.broadcast_to(v, shape).ravel().tolist()
+             for k, v in columns.items() if isinstance(v, np.ndarray)}
+    return [
+        {**{name: c[i] for name, c, i in zip(names, coords, idx)},
+         **{k: cells[k][flat] if k in cells else v for k, v in columns.items()}}
+        for flat, idx in enumerate(np.ndindex(shape))
+    ]
+
+
 def cmd_hr_eval(cfg: RunConfig, workers: int):
     axis = _axis(cfg.grid)
     p = as_param(cfg.lam)
     label = "zero" if p.is_zero else ("inf" if p.is_inf else "finite")
-    table = [
-        {
-            "x": float(x),
-            "y": float(y),
-            "hr_cdf": hr_cdf(cfg.lam, x, y),
-            "exponent": hr_exponent(cfg.lam, x, y),
-            "lambda_branch": label,
-        }
-        for x in axis
-        for y in axis
-    ]
+    x, y = axis[:, None], axis[None, :]
+    table = _grid_rows((axis, axis), ("x", "y"), hr_cdf=hr_cdf(cfg.lam, x, y),
+                       exponent=hr_exponent(cfg.lam, x, y), lambda_branch=label)
     return table, {"rows": len(table)}, None
 
 
@@ -297,24 +315,10 @@ def cmd_verify_weak(cfg: RunConfig, workers: int):
     band = 3.0 * math.sqrt(math.log(2.0 * axis.size**2) / (2.0 * cfg.reps))
     threshold = cfg.tol if cfg.tol is not None else d_base + band
     passed = d_dep <= threshold
-    table = []
-    for i, x in enumerate(axis):
-        for j, y in enumerate(axis):
-            t = hr_cdf(cfg.lam, x, y)
-            table.append(
-                {
-                    "x": float(x),
-                    "y": float(y),
-                    "empirical": float(emp.cdf[i, j]),
-                    "baseline_empirical": float(base.cdf[i, j]),
-                    "theory": t,
-                    "abs_err": abs(emp.cdf[i, j] - t),
-                    "sup_distance": d_dep,
-                    "baseline_distance": d_base,
-                    "threshold": threshold,
-                    "passed": passed,
-                }
-            )
+    t = theory(axis[:, None], axis[None, :])
+    table = _grid_rows((axis, axis), ("x", "y"), empirical=emp.cdf, baseline_empirical=base.cdf,
+                       theory=t, abs_err=np.abs(emp.cdf - t), sup_distance=d_dep,
+                       baseline_distance=d_base, threshold=threshold, passed=passed)
     summary = {
         "sup_distance": d_dep,
         "baseline_distance": d_base,
@@ -331,29 +335,21 @@ def cmd_verify_strong(cfg: RunConfig, workers: int):
     gy = np.append(axis, np.inf)  # the +inf column carries the x-marginal
     root = SeedLineage(cfg.seed)
     emp = empirical_max_law(model, cfg.n, cfg.reps, (axis, gy), root.child(0), workers)
-    theory = np.array([[mixture_limit_cdf(mp, x, y, cfg.nodes) for y in axis] for x in axis])
-    marginal_theory = np.array([univariate_mixture_cdf(mp.tau11, x, cfg.nodes) for x in axis])
-    d_biv = float(np.max(np.abs(emp.cdf[:, :-1] - theory)))
-    d_marg = float(np.max(np.abs(emp.cdf[:, -1] - marginal_theory)))
+    theory = np.array([[mixture_limit_cdf(mp, x, y, cfg.nodes) for y in axis]
+                       + [univariate_mixture_cdf(mp.tau11, x, cfg.nodes)] for x in axis])
+    err = np.abs(emp.cdf - theory)
+    d_biv = float(np.max(err[:, :-1]))
+    d_marg = float(np.max(err[:, -1]))
     tol = cfg.tol if cfg.tol is not None else 0.04
     mtol = cfg.marginal_tol if cfg.marginal_tol is not None else 0.03
     passed = d_biv <= tol and d_marg <= mtol
-    cells = [(x, y, emp.cdf[i, j], theory[i, j])
-             for i, x in enumerate(axis) for j, y in enumerate(axis)]
-    cells += [(x, math.inf, emp.cdf[i, -1], marginal_theory[i]) for i, x in enumerate(axis)]
-    table = [
-        {
-            "x": float(x),
-            "y": float(y),
-            "empirical": float(e),
-            "mixture": float(t),
-            "abs_err": float(abs(e - t)),
-            "sup_distance": d_biv,
-            "marginal_distance": d_marg,
-            "passed": passed,
-        }
-        for x, y, e, t in cells
-    ]
+
+    def rows(cols):
+        return _grid_rows((axis, gy[cols]), ("x", "y"), empirical=emp.cdf[:, cols],
+                          mixture=theory[:, cols], abs_err=err[:, cols], sup_distance=d_biv,
+                          marginal_distance=d_marg, passed=passed)
+
+    table = rows(slice(-1)) + rows(slice(-1, None))  # the grid, then the y = inf column
     summary = {
         "sup_distance": d_biv,
         "marginal_distance": d_marg,
@@ -369,23 +365,13 @@ def cmd_verify_maxmin(cfg: RunConfig, workers: int):
     emp = empirical_maxmin_law(model, cfg.n, cfg.reps, (vals,) * 4,
                                SeedLineage(cfg.seed).child(0), workers)
     tol = cfg.tol if cfg.tol is not None else 0.04
-    table = []
-    worst = 0.0
-    for (i1, x1), (i2, x2), (j1, y1), (j2, y2) in itertools.product(enumerate(vals), repeat=4):
-        t = hr_cdf(cfg.lam, x1, x2) * hr_cdf(cfg.lam, y1, y2)
-        e = float(emp.prob[i1, i2, j1, j2])
-        worst = max(worst, abs(e - t))
-        table.append(
-            {
-                "x1": float(x1), "x2": float(x2),
-                "y1": float(y1), "y2": float(y2),
-                "empirical": e, "theory": t, "abs_err": abs(e - t),
-            }
-        )
+    pair = hr_cdf(cfg.lam, vals[:, None], vals[None, :])
+    theory = np.multiply.outer(pair, pair)
+    err = np.abs(emp.prob - theory)
+    worst = float(err.max())
     passed = worst <= tol
-    for row in table:
-        row["max_abs_err"] = worst
-        row["passed"] = passed
+    table = _grid_rows((vals,) * 4, ("x1", "x2", "y1", "y2"), empirical=emp.prob, theory=theory,
+                       abs_err=err, max_abs_err=worst, passed=passed)
     return table, {"max_abs_err": worst, "tol": tol}, passed
 
 
@@ -403,35 +389,23 @@ def cmd_verify_aslt(cfg: RunConfig, workers: int):
         for s in range(cfg.seeds)
     ]
     cps = paths[0].checkpoints
-    targets = [hr_cdf(cfg.lam, x, y) for x, y in points]
-    mm_targets = [hr_cdf(cfg.lam, q[0], q[1]) * hr_cdf(cfg.lam, q[2], q[3]) for q in mm_points]
+    targets = {
+        "max": np.array([hr_cdf(cfg.lam, x, y) for x, y in points]),
+        "maxmin": np.array([hr_cdf(cfg.lam, q[0], q[1]) * hr_cdf(cfg.lam, q[2], q[3])
+                            for q in mm_points]),
+    }
+    labels = {kind: [",".join(format(v, "g") for v in pt) for pt in pts]
+              for kind, pts in (("max", points), ("maxmin", mm_points))}
 
-    worst = 0.0
-    ceiling_ok = True
-    table = []
+    # the last checkpoint is n_max: its column gives the final deviation
+    table, worst, ceiling_ok = [], 0.0, True
     for s, path in enumerate(paths):
-        for kind, pts, avgs, tgts in (
-            ("max", points, path.averages, targets),
-            ("maxmin", mm_points, path.maxmin_averages, mm_targets),
-        ):
-            for ip, point in enumerate(pts):
-                for ic, cp in enumerate(cps):
-                    avg = float(avgs[ip, ic])
-                    if avg > path.ceiling[ic] + 1e-12:
-                        ceiling_ok = False
-                    if cp == cfg.nmax:
-                        worst = max(worst, abs(avg - tgts[ip]))
-                    table.append(
-                        {
-                            "seed_index": s,
-                            "kind": kind,
-                            "point": ",".join(format(v, "g") for v in point),
-                            "checkpoint": int(cp),
-                            "average": avg,
-                            "target": float(tgts[ip]),
-                            "ceiling": float(path.ceiling[ic]),
-                        }
-                    )
+        for kind, avgs in (("max", path.averages), ("maxmin", path.maxmin_averages)):
+            table += _grid_rows(([s], [kind], labels[kind], cps),
+                                ("seed_index", "kind", "point", "checkpoint"),
+                                average=avgs, target=targets[kind][:, None], ceiling=path.ceiling)
+            worst = max(worst, float(np.max(np.abs(avgs[:, -1] - targets[kind]))))
+            ceiling_ok = ceiling_ok and not np.any(avgs > path.ceiling + 1e-12)
 
     # cross-seed concentration: std at n_max strictly below std at n_max/4
     i_quarter = cps.index(cfg.nmax // 4) if cfg.nmax // 4 in cps else 0
@@ -459,19 +433,10 @@ def cmd_verify_bounds(cfg: RunConfig, workers: int):
         report = aslt_bound_rate(model, _coupling_of(cfg.coupling), cfg.epsilon, cfg.n_grid,
                                  cfg.x, cfg.y)
         passed = report.bounded
-        table = [
-            {
-                "n": int(n),
-                "within_row_value": float(vw),
-                "ratio": float(r),
-                "cross_row_value": float(vc),
-                "passed": passed,
-            }
-            for n, vw, r, vc in zip(
-                report.within_row.n_grid, report.within_row.values,
-                report.ratios, report.cross_row.values,
-            )
-        ]
+        table = _grid_rows((report.within_row.n_grid,), ("n",),
+                           within_row_value=np.array(report.within_row.values),
+                           ratio=np.array(report.ratios),
+                           cross_row_value=np.array(report.cross_row.values), passed=passed)
         summary = {
             "kind": kind,
             "epsilon": cfg.epsilon,
@@ -498,10 +463,8 @@ def cmd_verify_bounds(cfg: RunConfig, workers: int):
             "kind": kind, "max_value": max(values), "tol": tol,
             "omega_rule": series.omega_rule,
         }
-    table = [
-        {"n": int(n), "value": float(v), "kind": kind, "passed": passed}
-        for n, v in zip(series.n_grid, values)
-    ]
+    table = _grid_rows((series.n_grid,), ("n",), value=np.array(values), kind=kind,
+                       passed=passed)
     return table, summary, passed
 
 
@@ -529,7 +492,7 @@ COUPLING = _flag("--coupling", type=_parse_coupling, default="indep",
                  help="indep or shared:C with C in [0,1)")
 
 COMMON = (
-    _flag("--seed", type=int, default=None,
+    _flag("--seed", type=_parse_seed, default=None,
           help=f"master seed (falls back to ${SEED_ENV_VAR}, then 0)"),
     _flag("--format", choices=("csv", "json"), default="csv"),
     _flag("--out", default=None, help="output path (default: stdout)"),

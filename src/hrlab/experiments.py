@@ -7,6 +7,7 @@ independent of chunking and worker count.  Bound series involve no simulation
 at all: they are exact sums over the model's induced correlations.
 """
 
+import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -22,8 +23,6 @@ from .gauss_arrays import (
 )
 from .norming import norming_constants
 from .seeding import SeedLineage, as_lineage
-
-DEFAULT_GRID = tuple(np.linspace(-2.0, 4.0, 9))
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +91,27 @@ def _hits(ext, x1, x2, y1=np.inf, y2=np.inf):
     return (s1 <= x1) & (s2 <= x2) & (t1 < y1) & (t2 < y2)
 
 
+def _pooled_extremes(*chunk):
+    """``_extremes`` of one chunk in a pool worker, after fixing the worker's
+    ``malloc`` thresholds.
+
+    With glibc's adaptive defaults a worker may hand its heap top back to the
+    system after every replication once rows pass about 128 KB, then fault the
+    next row's pages back in.  Whether it does depends on the heap layout it
+    inherits at fork, so the same ``verify strong --n 20000`` pass took 1.9 or
+    2.8 s, the difference being system time.  Fixed thresholds make every
+    replication reuse the same memory.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # no glibc mallopt: nothing to fix
+        pass
+    else:
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: rows up to 32 MB come from the heap
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MB of free heap
+    return _extremes(*chunk)
+
+
 def _all_extremes(model, n, lineage, total, workers):
     """The (total, 4) extremes of replications 0..total-1, in order."""
     if total < 100:
@@ -105,7 +125,7 @@ def _all_extremes(model, n, lineage, total, workers):
     if isinstance(model, WeakAR1Model) and model.phi != 0.0:
         _lfilter()  # load the filter once here, not once in every forked worker
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-        futures = [pool.submit(_extremes, model, n, lineage, lo, min(lo + per, total))
+        futures = [pool.submit(_pooled_extremes, model, n, lineage, lo, min(lo + per, total))
                    for lo in range(0, total, per)]
         return np.concatenate([fut.result() for fut in futures])
 

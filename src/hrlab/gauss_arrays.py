@@ -235,7 +235,9 @@ class ExplicitModel(_RowSizeRule):
         return v[0::2].copy(), v[1::2].copy()
 
 
-@lru_cache(maxsize=8)
+# one factor: every consumer samples a single (model, n) at a time, and a
+# factor at EXPLICIT_MAX_N is 512 MB
+@lru_cache(maxsize=1)
 def _explicit_factor(model: ExplicitModel, n: int) -> np.ndarray:
     from scipy.linalg import lapack
 

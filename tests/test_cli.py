@@ -237,10 +237,12 @@ class TestVerifyCommands:
             ("hr-eval", "--lambda", "1", "--grid", "0:1:100000000"),
             ("verify", "bounds", "--lambda", "1", "--phi", "0.5", "--ngrid", "inf"),
             ("verify", "bounds", "--lambda", "1", "--phi", "0.5", "--ngrid", "1e3,1e12"),
+            ("verify", "weak", "--lambda", "1", "--phi", "0.3", "--n", "200", "--reps", "100",
+             "--seed", "-1"),
         ],
         ids=["x-nan", "y-neg-inf", "epsilon-inf", "phi-nan", "tol-nan", "marginal-tol-inf",
              "tau-nan", "grid4-inf", "points-nan", "grid-lo-nan", "grid-hi-inf",
-             "grid-count-1e8", "ngrid-inf", "ngrid-1e12"],
+             "grid-count-1e8", "ngrid-inf", "ngrid-1e12", "seed-negative"],
     )
     def test_non_finite_or_oversized_flag_is_usage_error(self, capsys, args):
         # argparse rejects the value before any work: exit 2 and a usage
@@ -319,6 +321,15 @@ class TestDeterminism:
         _, out, _ = run_cli(capsys, "hr-eval", "--lambda", "1", "--grid", "0:0")
         row = parse_csv(out)[0]
         assert json.loads(row["config"])["seed"] == 77
+
+    def test_negative_env_seed_is_exit_2(self, capsys, monkeypatch):
+        # a configuration error, not a runtime error from the seed sequence
+        monkeypatch.setenv("HREXT_SEED", "-2")
+        code, out, err = run_cli(capsys, "verify", "maxmin", "--lambda", "1", "--phi", "0.5",
+                                 "--n", "200", "--reps", "100", "--grid4", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: HREXT_SEED")
 
     def test_explicit_seed_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("HREXT_SEED", "77")

@@ -12,6 +12,7 @@ from scipy import stats
 
 import hrlab as H
 from hrlab.errors import DomainError, ModelError
+from hrlab.gauss_arrays import _explicit_factor
 
 ROOT = H.SeedLineage(555)
 
@@ -233,6 +234,15 @@ class TestExplicitSampling:
             ii, jj = (i, j) if b >= a else (j, i)
             assert sigma[2 * a + i - 1, 2 * b + j - 1] == H.induced_correlation(em, ii, jj, k, n)
         assert sigma[0, 3] == 0.3 and sigma[2, 1] == 0.0
+
+    def test_factor_cache_keeps_one_factor(self):
+        _, em = _weak_mirror_explicit()
+        for n in range(100, 108):
+            H.sample_row(em, n, ROOT.child(n))
+        info = _explicit_factor.cache_info()
+        assert info.currsize == 1
+        H.sample_row(em, 107, ROOT.child(1))
+        assert _explicit_factor.cache_info().hits == info.hits + 1
 
     def test_desk_scale_ceiling(self):
         _, em = _weak_mirror_explicit()

@@ -3,8 +3,8 @@
 Each case runs the CLI in-process, writes the report to a file and pins its
 SHA-256 and exit code.  A refactor that keeps behaviour leaves every digest
 unchanged; a change that moves a draw, a float or a CSV column shows here.
-CSV is pinned for every ``verify`` command because column order exists only
-there.  The digests embed the artifact version, so a version bump re-pins them.
+CSV is pinned for every case because column order exists only there.
+The digests embed the artifact version, so a version bump re-pins them.
 """
 
 import hashlib
@@ -37,6 +37,7 @@ CASES = {
 # (case, format) -> (exit code, SHA-256 of the report bytes)
 GOLDEN = {
     ("hr-eval", "json"): (0, "aa18f45f3fd6c836f368e8574438ac755233a400be5b35b6ed2f2c1301cf40e9"),
+    ("hr-eval", "csv"): (0, "9828ab75fb2b69df6c2d230da3c9dc9aaf7d0b26ffab2faa9283078c49f8f60d"),
     ("weak", "json"): (0, "4e795918ef3a9f9e62b0777417401dbd75334c3a6b56a1dac0914fbdd555d54b"),
     ("weak", "csv"): (0, "a4a1a75c7834f500e66150d44beaf47baa109ee3370cf15f2f6540bbdc2dcd99"),
     ("strong", "json"): (1, "ad59299c57b97a25a0a887224f14ff92406398dc26a21957aa74df11f168a0d3"),
@@ -46,6 +47,7 @@ GOLDEN = {
     ("aslt", "json"): (1, "b87a54f734de899a1fc0c7e8ebf8f674c09f6972110beddce8ad7ac56cb0f3ac"),
     ("aslt", "csv"): (1, "a91a506d4eb9c6ff65530ecd12f2fed80e7ba0071e18a0f7f3b6ce6ae3e18a60"),
     ("aslt-shared", "json"): (0, "ff90cfce402006942a56c0939f09834e759afc8029825df52253e753eaf7eb54"),
+    ("aslt-shared", "csv"): (0, "cec9cbc4c5f50e62203ae37d464226056ec56d40cd1df4bfb21f80195a375a02"),
     ("bounds-L1", "json"): (0, "aec7ae00203116f37df5e2767df8deca211de785389f23d06f7ead37136d5ef8"),
     ("bounds-L1", "csv"): (0, "31135ed3977b547f5a0415ed35f8ddc1f4baac95a94e7c63e6bf71903b98bc49"),
     ("bounds-L2", "json"): (0, "8dc3126abc6b156393aa3ca0752e5147b715f23a0e2a9f377ab9a64c3379140f"),
