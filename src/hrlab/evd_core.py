@@ -222,9 +222,11 @@ def _cond_cdf(lam, x, y):
 
 _UNIT_LO = 2.0**-53
 _UNIT_HI = 1.0 - 2.0**-53
+_QUANTILE_TOL = 1e-10  # absolute bisection tolerance on y
+_BRACKET_STEPS = 130   # doublings allowed to bracket each root
 
 
-def _conditional_quantile(lam, x, q, tol=1e-10, max_expand=130):
+def _conditional_quantile(lam, x, q):
     """Solve the conditional CDF given X=x for each target level q.
 
     Bracketed bisection; the conditional CDF is continuous and strictly
@@ -236,7 +238,7 @@ def _conditional_quantile(lam, x, q, tol=1e-10, max_expand=130):
     hi = np.maximum(x, gq) + pad
 
     step = 1.0
-    for _ in range(max_expand):
+    for _ in range(_BRACKET_STEPS):
         bad = _cond_cdf(lam, x, lo) > q
         if not bad.any():
             break
@@ -245,7 +247,7 @@ def _conditional_quantile(lam, x, q, tol=1e-10, max_expand=130):
     else:
         raise RuntimeError("failed to bracket conditional quantile from below")
     step = 1.0
-    for _ in range(max_expand):
+    for _ in range(_BRACKET_STEPS):
         bad = _cond_cdf(lam, x, hi) < q
         if not bad.any():
             break
@@ -259,7 +261,7 @@ def _conditional_quantile(lam, x, q, tol=1e-10, max_expand=130):
         below = _cond_cdf(lam, x, mid) <= q
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-        if np.max(hi - lo) <= tol:
+        if np.max(hi - lo) <= _QUANTILE_TOL:
             break
     else:
         raise RuntimeError("conditional quantile bisection did not converge")

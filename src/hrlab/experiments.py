@@ -3,11 +3,13 @@ the limit laws, plus exact evaluation of the comparison-lemma bound series.
 
 Empirical laws draw each replication from its own child RNG stream, keep its
 normalized extremes, and count grid events once in the parent, so results are
-independent of chunking and worker count.  Bound series involve no simulation
-at all: they are exact sums over the model's induced correlations.
+independent of chunking and worker count.  ASLT paths draw their rows through
+the same kernel, one child stream per row size.  Bound series involve no
+simulation at all: they are exact sums over the model's induced correlations.
 """
 
 import ctypes
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -64,36 +66,34 @@ def _as_axis(values, name):
     return arr
 
 
-def _normalize(x1, x2, nm):
-    """(s1, s2, t1, t2) of one row pair: normalized maxima and reflected,
-    normalized minima under the norming constants ``nm``."""
-    return (
-        (x1.max() - nm.b) / nm.a,
-        (x2.max() - nm.b) / nm.a,
-        (-x1.min() - nm.b) / nm.a,
-        (-x2.min() - nm.b) / nm.a,
-    )
-
-
-def _extremes(model, n, lineage, rep_lo, rep_hi):
-    """Rows (s1, s2, t1, t2) of replications rep_lo..rep_hi-1, each from its own stream."""
-    nm = norming_constants(n)
-    out = np.empty((rep_hi - rep_lo, 4))
-    for i, rep in enumerate(range(rep_lo, rep_hi)):
-        out[i] = _normalize(*model._sample(n, lineage.child(rep).generator()), nm)
+def _extremes(sample, lineage, keys, sizes):
+    """Row i is ``sample(sizes[i], rng)`` drawn from the stream
+    ``lineage.child(keys[i])``, reduced to (s1, s2, t1, t2): its normalized
+    maxima and reflected, normalized minima.  The norming constants are
+    recomputed only when the row size changes."""
+    out = np.empty((len(keys), 4))
+    n = None
+    for i, (key, size) in enumerate(zip(keys, sizes)):
+        if size != n:
+            n, nm = size, norming_constants(size)
+        x1, x2 = sample(size, lineage.child(key).generator())
+        out[i] = ((x1.max() - nm.b) / nm.a, (x2.max() - nm.b) / nm.a,
+                  (-x1.min() - nm.b) / nm.a, (-x2.min() - nm.b) / nm.a)
     return out
 
 
-def _hits(ext, x1, x2, y1=np.inf, y2=np.inf):
+def _hits(ext, x1, x2, y1, y2):
     """The event s1 <= x1, s2 <= x2, t1 < y1, t2 < y2 for each row of the
     extremes ``ext`` (rows, 4) against 1-d threshold vectors: (rows, points)."""
     s1, s2, t1, t2 = ext.T[:, :, None]
     return (s1 <= x1) & (s2 <= x2) & (t1 < y1) & (t2 < y2)
 
 
-def _pooled_extremes(*chunk):
-    """``_extremes`` of one chunk in a pool worker, after fixing the worker's
-    ``malloc`` thresholds.
+def _pooled_extremes(model, n, lineage, lo, hi):
+    """The extremes of replications lo..hi-1 in a pool worker, after fixing the
+    worker's ``malloc`` thresholds.  Only the model is pickled and
+    ``model._sample`` is looked up here: a bound method pickles by its
+    ``__name__``, which a wrapped ``_sample`` does not share.
 
     With glibc's adaptive defaults a worker may hand its heap top back to the
     system after every replication once rows pass about 128 KB, then fault the
@@ -109,7 +109,7 @@ def _pooled_extremes(*chunk):
     else:
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: rows up to 32 MB come from the heap
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MB of free heap
-    return _extremes(*chunk)
+    return _extremes(model._sample, lineage, range(lo, hi), itertools.repeat(n))
 
 
 def _all_extremes(model, n, lineage, total, workers):
@@ -118,7 +118,7 @@ def _all_extremes(model, n, lineage, total, workers):
         raise DomainError(f"at least 100 replications required, got {total}")
     model.validate_n(n)
     if workers <= 1:
-        return _extremes(model, n, lineage, 0, total)
+        return _extremes(model._sample, lineage, range(total), itertools.repeat(n))
     # chunks follow ``workers`` so results do not depend on the machine; the
     # pool, which forks all its processes at the first submit, is capped
     per = math.ceil(total / workers)
@@ -184,10 +184,13 @@ def sup_distance(emp: EmpiricalLaw2D, theory) -> float:
 # strong-dependence mixture limit (Gauss-Hermite quadrature)
 # ---------------------------------------------------------------------------
 
+QUAD_MAX_NODES = 1024  # the 2-d rule holds nodes^2 arrays: about 81 MB at the cap
+
+
 def _hermgauss(nodes):
     nodes = int(nodes)
-    if nodes < 8:
-        raise DomainError(f"at least 8 quadrature nodes required, got {nodes}")
+    if not 8 <= nodes <= QUAD_MAX_NODES:
+        raise DomainError(f"quadrature nodes must lie in [8, {QUAD_MAX_NODES}], got {nodes}")
     return special.roots_hermite(nodes)
 
 
@@ -292,6 +295,7 @@ class ASLTPath:
 
 
 ASLT_HARD_CAP = 10**5
+ASLT_MAX_POINTS = 100  # per family; every report row repeats the points
 
 
 def _shared_row(model, k, rng, eta, c):
@@ -315,7 +319,8 @@ def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed
     ``maxmin_points`` adds the four-sided indicator variant
     I(-u_k(y1) < m1 <= M1 <= u_k(x1), -u_k(y2) < m2 <= M2 <= u_k(x2)) for
     4-tuples (x1, x2, y1, y2).  Rows are O(k) each, so total work grows like
-    n_max^2; n_max above ASLT_HARD_CAP = 1e5 is refused.
+    n_max^2; n_max above ASLT_HARD_CAP = 1e5, or more than ASLT_MAX_POINTS =
+    100 points or max-min points, is refused.
 
     The sum starts at the model's smallest valid row size ``min_n()`` (>= 2,
     since the norming constants need ln(n) > 0); the discarded initial terms
@@ -332,6 +337,8 @@ def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed
     maxmin_points = tuple(tuple(float(v) for v in q) for q in maxmin_points)
     if any(len(q) != 4 for q in maxmin_points):
         raise DomainError("maxmin points must be (x1, x2, y1, y2) tuples")
+    if max(len(points), len(maxmin_points)) > ASLT_MAX_POINTS:
+        raise DomainError(f"at most {ASLT_MAX_POINTS} points of each kind per path (cost guard)")
     if checkpoints is None:
         checkpoints = [n_max // 8, n_max // 4, n_max // 2, n_max]
     checkpoints = tuple(sorted(set(int(c) for c in checkpoints)))
@@ -341,7 +348,7 @@ def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed
     if any(not k_start <= cp <= n_max for cp in checkpoints):
         raise DomainError(f"checkpoints must lie in [{k_start}, n_max] for this model")
 
-    eta = None
+    sample = model._sample
     if coupling.kind == "shared":
         # child(0) is reserved for the persistent sequence; rows use child(k), k >= 2
         eta = lineage.child(0).generator().standard_normal(n_max)
@@ -353,24 +360,17 @@ def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed
                 f"shared coupling weight c={coupling.c:g} incompatible with "
                 f"rho_0({k_start})={rho0:g}"
             )
+        sample = lambda k, rng: _shared_row(model, k, rng, eta, coupling.c)
 
-    rows = np.arange(k_start, n_max + 1)
-    extremes = np.empty((rows.size, 4))
-    for i, k in enumerate(range(k_start, n_max + 1)):
-        rng = lineage.child(k).generator()
-        if coupling.kind == "shared":
-            x1, x2 = _shared_row(model, k, rng, eta, coupling.c)
-        else:
-            x1, x2 = model._sample(k, rng)
-        extremes[i] = _normalize(x1, x2, norming_constants(k))
+    rows = range(k_start, n_max + 1)
+    extremes = _extremes(sample, lineage, rows, rows)
 
-    # cumsum adds in row order, one term at a time, so each running sum equals
-    # the loop's; a miss adds inv_k * False == 0.0, which changes no sum
-    inv_k = 1.0 / rows
-    hits = _hits(extremes, *np.reshape(points, (-1, 2)).T)
-    hits_mm = _hits(extremes, *np.reshape(maxmin_points, (-1, 4)).T)
-    wsum = np.cumsum(inv_k[:, None] * hits, axis=0)
-    wsum_mm = np.cumsum(inv_k[:, None] * hits_mm, axis=0)
+    # a row minimum is finite, so the max-only point (x, y) is the four-sided
+    # event (x, y, +inf, +inf).  cumsum adds in row order, one term at a time,
+    # and a miss adds inv_k * False == 0.0, which changes no sum
+    events = np.reshape([(*p, math.inf, math.inf) for p in points] + [*maxmin_points], (-1, 4))
+    inv_k = 1.0 / np.arange(k_start, n_max + 1)
+    wsum = np.cumsum(inv_k[:, None] * _hits(extremes, *events.T), axis=0)
     at = [cp - k_start for cp in checkpoints]
     ell = np.array([math.log(cp) for cp in checkpoints])
 
@@ -379,9 +379,9 @@ def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed
         k_start=k_start,
         checkpoints=checkpoints,
         points=points,
-        averages=wsum[at].T / ell,
+        averages=wsum[at, : len(points)].T / ell,
         maxmin_points=maxmin_points,
-        maxmin_averages=wsum_mm[at].T / ell,
+        maxmin_averages=wsum[at, len(points) :].T / ell,
         ceiling=np.cumsum(inv_k)[at] / ell,
         coupling=coupling.describe(),
         seed=lineage,

@@ -32,7 +32,7 @@ from .seeding import SeedLineage, as_lineage
 
 _PAIRS = ((1, 1), (1, 2), (2, 2))
 
-EXPLICIT_MAX_N = 4000  # dense 2n x 2n Cholesky ceiling
+EXPLICIT_MAX_N = 4000  # dense 2n x 2n correlation matrix and Cholesky ceiling
 
 
 @dataclass(frozen=True)
@@ -197,14 +197,6 @@ class ExplicitModel(_RowSizeRule):
     def min_n(self) -> int:
         return 2
 
-    def validate_n(self, n: int):
-        super().validate_n(n)
-        if n > EXPLICIT_MAX_N:
-            raise DomainError(
-                f"explicit models are capped at n={EXPLICIT_MAX_N} "
-                f"(dense 2n x 2n Cholesky), got {n}"
-            )
-
     def lag_corr(self, i, j, k, n):
         return float(self.rho_fn(i, j, k, n))
 
@@ -216,7 +208,11 @@ class ExplicitModel(_RowSizeRule):
 
         Entry (X_a^(i), X_b^(j)) is rho_fn(i, j, b-a) when b >= a and
         rho_fn(j, i, a-b) when b < a, so the matrix is symmetric by construction.
+        Sizes above EXPLICIT_MAX_N are refused (cost guard).
         """
+        if n > EXPLICIT_MAX_N:
+            raise DomainError(f"explicit models are capped at n={EXPLICIT_MAX_N} "
+                              f"(dense 2n x 2n matrix), got {n}")
         back = np.subtract.outer(np.arange(n), np.arange(n))  # a - b
         lag = np.abs(back)
         vals = {}
@@ -331,11 +327,8 @@ def validate_assumption(model: ArrayModel, which: str, n_grid, alpha: float,
     n_grid = tuple(int(n) for n in n_grid)
     if not n_grid or any(n < 2 for n in n_grid) or list(n_grid) != sorted(set(n_grid)):
         raise DomainError("n_grid must be a non-empty strictly increasing list of ints >= 2")
-    # Explicit models are exempt from the sampling ceiling here: the scan
-    # only evaluates correlations, never a Cholesky factor
-    if not isinstance(model, ExplicitModel):
-        for n in n_grid:
-            model.validate_n(n)
+    for n in n_grid:
+        model.validate_n(n)
 
     bound = _scan_abs_corr(model, max(n_grid))
     if bound >= 1.0:

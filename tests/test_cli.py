@@ -207,9 +207,13 @@ class TestVerifyCommands:
             # lam^2/2 = 800 is far above ln 1e9, and exp(800) overflows a float
             ("verify", "aslt", "--lambda", "40", "--phi", "0.5", "--nmax", "1000",
              "--seeds", "2"),
+            ("verify", "aslt", "--lambda", "1", "--phi", "0.5", "--nmax", "1000", "--seeds", "2",
+             "--points", ";".join(["0,0"] * 101)),
+            ("verify", "strong", "--lambda", "1", "--tau", "1,1,0.8", "--n", "200",
+             "--reps", "100", "--grid", "0:1", "--nodes", "1025"),
         ],
         ids=["nodes-0", "seeds-0", "seeds-1", "workers-0", "workers-negative",
-             "aslt-lambda-40"],
+             "aslt-lambda-40", "points-101", "nodes-1025"],
     )
     def test_out_of_range_count_is_exit_2(self, capsys, args):
         code, out, err = run_cli(capsys, *args)

@@ -175,9 +175,10 @@ class TestMixtureQuadrature:
     def test_univariate_degenerate(self):
         assert H.univariate_mixture_cdf(0.0, 0.4) == pytest.approx(H.gumbel_cdf(0.4), abs=1e-15)
 
-    def test_node_floor(self):
+    @pytest.mark.parametrize("nodes", [4, 1025])
+    def test_node_floor(self, nodes):
         with pytest.raises(DomainError):
-            H.mixture_limit_cdf(self.MP, 0.0, 0.0, nodes=4)
+            H.mixture_limit_cdf(self.MP, 0.0, 0.0, nodes=nodes)
 
 
 class TestEmpiricalMaxMinLaw:

@@ -248,6 +248,8 @@ class TestExplicitSampling:
         _, em = _weak_mirror_explicit()
         with pytest.raises(DomainError):
             H.sample_row(em, 4001, 1)
+        with pytest.raises(DomainError):
+            em.correlation_matrix(4001)
 
 
 class TestSamplerCorrelationAgreement:
