@@ -21,7 +21,8 @@ from scipy import special
 from .errors import DomainError
 from .evd_core import MixtureParams, gumbel_cdf, hr_cdf
 from .gauss_arrays import (
-    _PAIRS, ArrayModel, StrongFactorModel, WeakAR1Model, _ar1_path, _lfilter, _pair,
+    _PAIRS, ArrayModel, ExplicitModel, StrongFactorModel, WeakAR1Model, _ar1_path,
+    _explicit_factor, _lfilter, _pair,
 )
 from .norming import norming_constants
 from .seeding import SeedLineage, as_lineage
@@ -66,19 +67,30 @@ def _as_axis(values, name):
     return arr
 
 
+_BLOCK = 1024  # child streams hashed per ``SeedLineage.children`` call
+
+
 def _extremes(sample, lineage, keys, sizes):
-    """Row i is ``sample(sizes[i], rng)`` drawn from the stream
-    ``lineage.child(keys[i])``, reduced to (s1, s2, t1, t2): its normalized
-    maxima and reflected, normalized minima.  The norming constants are
-    recomputed only when the row size changes."""
+    """Row i is the (2, n) array ``sample(sizes[i], rng)`` drawn from the
+    stream ``lineage.child(keys[i])``, reduced to (s1, s2, t1, t2): its
+    normalized maxima and reflected, normalized minima.  The norming constants
+    are recomputed only when the row size changes."""
     out = np.empty((len(keys), 4))
+    ab = np.empty((len(keys), 2))  # each row's (a_n, b_n)
+    sizes = iter(sizes)
     n = None
-    for i, (key, size) in enumerate(zip(keys, sizes)):
-        if size != n:
-            n, nm = size, norming_constants(size)
-        x1, x2 = sample(size, lineage.child(key).generator())
-        out[i] = ((x1.max() - nm.b) / nm.a, (x2.max() - nm.b) / nm.a,
-                  (-x1.min() - nm.b) / nm.a, (-x2.min() - nm.b) / nm.a)
+    for lo in range(0, len(keys), _BLOCK):
+        for i, child in enumerate(lineage.children(keys[lo : lo + _BLOCK]), lo):
+            size = next(sizes)
+            if size != n:
+                n, nm = size, norming_constants(size)
+            x = sample(size, child.generator())
+            x.max(axis=1, out=out[i, :2])
+            x.min(axis=1, out=out[i, 2:])
+            ab[i] = nm.a, nm.b
+    np.negative(out[:, 2:], out=out[:, 2:])
+    out -= ab[:, 1:]
+    out /= ab[:, :1]
     return out
 
 
@@ -122,8 +134,11 @@ def _all_extremes(model, n, lineage, total, workers):
     # chunks follow ``workers`` so results do not depend on the machine; the
     # pool, which forks all its processes at the first submit, is capped
     per = math.ceil(total / workers)
+    # build once here what forked workers would otherwise each build
     if isinstance(model, WeakAR1Model) and model.phi != 0.0:
-        _lfilter()  # load the filter once here, not once in every forked worker
+        _lfilter()
+    elif isinstance(model, ExplicitModel):
+        _explicit_factor(model, n)
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         futures = [pool.submit(_pooled_extremes, model, n, lineage, lo, min(lo + per, total))
                    for lo in range(0, total, per)]
@@ -302,12 +317,11 @@ def _shared_row(model, k, rng, eta, c):
     # stationary start pair is row-fresh; the persistent sequence enters the
     # innovations only, so within-row law is exactly the model's
     rho0 = model.rho0(k)
-    s1, s2 = _pair(rng.standard_normal(2), rho0)
-    xi1, xi2 = _pair(rng.standard_normal((2, k)), (rho0 - c) / (1.0 - c))
-    root_c, root_1c = math.sqrt(c), math.sqrt(1.0 - c)
-    e1 = root_c * eta[:k] + root_1c * xi1
-    e2 = root_c * eta[:k] + root_1c * xi2
-    return _ar1_path(model.phi, s1, e1), _ar1_path(model.phi, s2, e2)
+    start = _pair(rng.standard_normal(2), rho0)
+    e = _pair(rng.standard_normal((2, k)), (rho0 - c) / (1.0 - c))
+    e *= math.sqrt(1.0 - c)
+    e += math.sqrt(c) * eta[:k]
+    return _ar1_path(model.phi, start, e)
 
 
 def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed,

@@ -12,7 +12,7 @@ Three variants:
 
 Every sampler is deterministic given a seed lineage; one child stream per
 row/replication is part of the contract, so results are identical under any
-worker schedule.
+worker schedule.  A model's ``_sample`` returns the row as one (2, n) array.
 
 ``scipy.signal`` (the AR(1) filter) and ``scipy.linalg`` (LAPACK's Cholesky)
 are loaded on first use, so importing the package does not pay for them.
@@ -45,10 +45,12 @@ class RowSample:
     seed_lineage: SeedLineage
 
 
-def _pair(rng_block, rho):
-    """Turn two iid standard-normal blocks into a pair with correlation rho."""
-    z0, z1 = rng_block
-    return z0, rho * z0 + math.sqrt(max(0.0, 1.0 - rho * rho)) * z1
+def _pair(block, rho):
+    """Turn two iid standard-normal rows of ``block`` into a pair with
+    correlation rho, in place: row 1 becomes rho z0 + sqrt(1 - rho^2) z1."""
+    block[1] *= math.sqrt(max(0.0, 1.0 - rho * rho))
+    block[1] += rho * block[0]
+    return block
 
 
 @lru_cache(maxsize=None)
@@ -60,12 +62,13 @@ def _lfilter():
 
 
 def _ar1_path(phi, start, innovations):
-    """Stationary AR(1) path: x_k = phi x_{k-1} + sqrt(1-phi^2) eps_k, x_0 = start."""
+    """Stationary AR(1) paths along the last axis: x_k = phi x_{k-1} +
+    sqrt(1-phi^2) eps_k, x_0 = start (one start per path)."""
     if phi == 0.0:
         return innovations.copy()
     scaled = math.sqrt(1.0 - phi * phi) * innovations
-    out, _ = _lfilter()([1.0], [1.0, -phi], scaled, zi=np.array([phi * start]))
-    return out
+    zi = np.multiply(phi, start)[..., None]
+    return _lfilter()([1.0], [1.0, -phi], scaled, zi=zi)[0]
 
 
 def _first_size(ell):
@@ -122,11 +125,8 @@ class WeakAR1Model(_RowSizeRule):
     def _sample(self, n, rng):
         # draw layout: one (2, n+1) normal block; column 0 seeds the
         # stationary start, columns 1..n are the innovations
-        rho0 = self.rho0(n)
-        e1, e2 = _pair(rng.standard_normal((2, n + 1)), rho0)
-        x1 = _ar1_path(self.phi, e1[0], e1[1:])
-        x2 = _ar1_path(self.phi, e2[0], e2[1:])
-        return x1, x2
+        e = _pair(rng.standard_normal((2, n + 1)), self.rho0(n))
+        return _ar1_path(self.phi, e[:, 0], e[:, 1:])
 
 
 @dataclass(frozen=True)
@@ -168,13 +168,14 @@ class StrongFactorModel(_RowSizeRule):
         return np.full(np.shape(lags), self.lag_corr(i, j, 1, n))
 
     def _sample(self, n, rng):
-        # draw layout: one factor pair block (2,), then a (2, n) residual block
-        t11, t22, _ = self.taus(n)
-        z0_1, z0_2 = _pair(rng.standard_normal(2), self.mix.rho_zw)
-        r1, r2 = _pair(rng.standard_normal((2, n)), self.residual_corr(n))
-        x1 = math.sqrt(t11) * z0_1 + math.sqrt(1.0 - t11) * r1
-        x2 = math.sqrt(t22) * z0_2 + math.sqrt(1.0 - t22) * r2
-        return x1, x2
+        # draw layout: one factor pair block (2,), then a (2, n) residual block;
+        # row i becomes sqrt(tau_ii) z0_i + sqrt(1 - tau_ii) r_i, in place
+        t = np.array(self.taus(n)[:2])[:, None]
+        z0 = _pair(rng.standard_normal(2), self.mix.rho_zw)[:, None]
+        x = _pair(rng.standard_normal((2, n)), self.residual_corr(n))
+        x *= np.sqrt(1.0 - t)
+        x += np.sqrt(t) * z0
+        return x
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,7 @@ class ExplicitModel(_RowSizeRule):
     def _sample(self, n, rng):
         chol = _explicit_factor(self, n)
         v = chol @ rng.standard_normal(2 * n)
-        return v[0::2].copy(), v[1::2].copy()
+        return np.ascontiguousarray(v.reshape(n, 2).T)
 
 
 # one factor: every consumer samples a single (model, n) at a time, and a

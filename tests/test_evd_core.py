@@ -103,6 +103,16 @@ class TestHrCdf:
         assert abs(H.hr_cdf(lam, x, math.inf) - H.gumbel_cdf(x)) <= 1e-12
         assert abs(H.hr_cdf(lam, math.inf, x) - H.gumbel_cdf(x)) <= 1e-12
 
+    @given(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+           st.one_of(st.floats(0.0, 1.0), st.just(math.inf)), gumbel_args, gumbel_args)
+    def test_decreasing_in_lambda(self, lo, step, x, y):
+        # the family runs from the comonotone (lambda = 0) to the independence
+        # (lambda = inf) copula.  Rounding may lift the CDF by a few ulps of 1,
+        # the scale of a probability: exp(-V) has relative condition number V,
+        # so near 0 the same error spans more ulps of the value itself
+        hi = lo + step * max(lo, 1.0)
+        assert H.hr_cdf(hi, x, y) <= H.hr_cdf(lo, x, y) + 4 * np.finfo(float).eps
+
     def test_infinite_corner_cases(self):
         for lam in (0.0, 1.0, math.inf):
             assert H.hr_cdf(lam, math.inf, math.inf) == 1.0

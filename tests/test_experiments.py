@@ -308,6 +308,45 @@ class TestAsltAverage:
             H.aslt_average(m, H.shared_innovations(0.4), 1200, ((0.0, 0.0),), 1)
 
 
+class TestRowKernel:
+    """``_extremes`` hashes streams in blocks and reduces (2, n) rows in place;
+    each row must equal the one-row path bit for bit, across a block edge."""
+
+    KEYS = range(7, 7 + 1030)  # starts off zero and crosses the 1024-key block edge
+
+    @staticmethod
+    def _normalized(row_ext, n):
+        nm = H.norming_constants(n)
+        s1, s2, m1, m2 = row_ext
+        return [(s1 - nm.b) / nm.a, (s2 - nm.b) / nm.a, (-m1 - nm.b) / nm.a, (-m2 - nm.b) / nm.a]
+
+    @pytest.mark.parametrize("model, n", [
+        (H.WeakAR1Model(1.0, 0.2), 60),
+        (H.WeakAR1Model(1.0, 0.0), 60),
+        (H.StrongFactorModel(H.MixtureParams(1.0, 1.0, 0.8, 1.0)), 60),
+        (H.ExplicitModel(lambda n: 0.4, lambda i, j, k, n: 0.5**k * (0.7 if i != j else 1.0)), 12),
+    ], ids=["weak", "weak-phi0", "strong", "explicit"])
+    def test_model_rows_equal_one_row_reference(self, model, n):
+        lineage = ROOT.child(41)
+        got = experiments._extremes(model._sample, lineage, self.KEYS, [n] * len(self.KEYS))
+        want = [self._normalized(H.row_extremes(H.sample_row(model, n, lineage.child(k))), n)
+                for k in self.KEYS]
+        assert np.array_equal(got, want)
+
+    def test_shared_coupling_rows_equal_one_row_reference(self):
+        model, c = H.WeakAR1Model(1.0, 0.5), 0.2
+        lineage = ROOT.child(42)
+        eta = lineage.child(0).generator().standard_normal(max(self.KEYS))
+        sample = lambda k, rng: experiments._shared_row(model, k, rng, eta, c)  # noqa: E731
+        got = experiments._extremes(sample, lineage, self.KEYS, self.KEYS)
+        want = []
+        for k in self.KEYS:
+            x1, x2 = sample(k, lineage.child(k).generator())
+            row = H.RowSample(n=k, x1=x1, x2=x2, seed_lineage=lineage.child(k))
+            want.append(self._normalized(H.row_extremes(row), k))
+        assert np.array_equal(got, want)
+
+
 class TestBoundSeries:
     GRID = (1000, 10**4, 10**5)
 

@@ -14,13 +14,18 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(hrlab.__file__)))
 HEAVY = ("scipy.signal", "scipy.stats", "scipy.linalg")
 
 
+def _output(code):
+    """What ``code`` prints when run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    return out.stdout.strip()
+
+
 def _loaded_after(code):
     """Names from HEAVY in sys.modules after running ``code`` in a fresh interpreter."""
     probe = f"{code}\nimport sys\nprint(','.join(m for m in {HEAVY!r} if m in sys.modules))"
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    return set(filter(None, out.stdout.strip().split(",")))
+    return set(filter(None, _output(probe).split(",")))
 
 
 def test_import_and_parser_leave_heavy_scipy_unloaded():
@@ -46,3 +51,14 @@ def test_filter_is_loaded_in_the_parent_before_the_pool_forks():
 def test_strong_model_pool_never_loads_the_filter():
     model = "H.StrongFactorModel(H.MixtureParams(1.0, 1.0, 0.8, 1.0))"
     assert "scipy.signal" not in _loaded_after(_POOL_RUN.format(model=model))
+
+
+def test_explicit_factor_is_built_in_the_parent_before_the_pool_forks():
+    # forked workers inherit the parent's Cholesky factor (and scipy.linalg)
+    # instead of each building its own
+    rho = "def rho0(n):\n    return 0.4\ndef rho(i, j, k, n):\n    return 0.5**k\n"
+    run = rho + _POOL_RUN.format(model="H.ExplicitModel(rho0, rho)")
+    assert "scipy.linalg" in _loaded_after(run)
+    cached = "\nfrom hrlab.gauss_arrays import _explicit_factor\n" \
+             "print(_explicit_factor.cache_info().currsize)"
+    assert _output(run + cached) == "1"
