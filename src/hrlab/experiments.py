@@ -4,12 +4,12 @@ the limit laws, plus exact evaluation of the comparison-lemma bound series.
 Empirical laws draw each replication from its own child RNG stream, keep its
 normalized extremes, and count grid events once in the parent, so results are
 independent of chunking and worker count.  ASLT paths draw their rows through
-the same kernel, one child stream per row size.  Bound series involve no
-simulation at all: they are exact sums over the model's induced correlations.
+the same kernel, one child stream per row size.  The kernel draws rows one
+stream at a time into a reused block buffer, then pairs, filters and reduces
+the block in one batch.  Bound series involve no simulation at all: they are
+exact sums over the model's induced correlations.
 """
 
-import ctypes
-import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -21,8 +21,8 @@ from scipy import special
 from .errors import DomainError
 from .evd_core import MixtureParams, gumbel_cdf, hr_cdf
 from .gauss_arrays import (
-    _PAIRS, ArrayModel, ExplicitModel, StrongFactorModel, WeakAR1Model, _ar1_path,
-    _explicit_factor, _lfilter, _pair,
+    _PAIRS, ArrayModel, ExplicitModel, StrongFactorModel, WeakAR1Model, _ar1_path, _by_size,
+    _explicit_factor, _fill, _lfilter, _pair,
 )
 from .norming import norming_constants
 from .seeding import SeedLineage, as_lineage
@@ -68,26 +68,83 @@ def _as_axis(values, name):
 
 
 _BLOCK = 1024  # child streams hashed per ``SeedLineage.children`` call
+# drawn variates per row block: short rows batch, rows above half of it go one
+# at a time and stay in cache from draw to reduction
+_BLOCK_BYTES = 1 << 18
 
 
-def _extremes(sample, lineage, keys, sizes):
-    """Row i is the (2, n) array ``sample(sizes[i], rng)`` drawn from the
-    stream ``lineage.child(keys[i])``, reduced to (s1, s2, t1, t2): its
-    normalized maxima and reflected, normalized minima.  The norming constants
-    are recomputed only when the row size changes."""
+def _streams(lineage, keys):
+    for lo in range(0, len(keys), _BLOCK):
+        yield from lineage.children(keys[lo : lo + _BLOCK])
+
+
+def _width(model, n):
+    """Variates in one row of the draw layout at row size n (an int or an array)."""
+    return math.prod(model._layout(n))
+
+
+def _block(model, sizes, lo):
+    """The end of the block of rows from ``lo``: as many rows as fit in
+    ``_BLOCK_BYTES`` when padded to the last, largest, size among them, and
+    at least one."""
+    cap = _BLOCK_BYTES // 8
+    part = sizes[lo : lo + max(1, cap // _width(model, sizes[lo]))]
+    if part[-1] != part[0]:  # growing sizes: the rows whose padded block fits
+        fits = np.arange(1, len(part) + 1) * _width(model, part) <= cap
+        part = part[: max(1, np.count_nonzero(fits))]
+    return lo + len(part)
+
+
+def _reduce(x, sizes, ext):
+    """Max and min of each row of ``x`` (B, 2, m) over its first ``sizes[i]``
+    columns, into ``ext`` (B, 4); ``sizes`` do not decrease."""
+    least = sizes[0]
+    x[..., :least].max(axis=-1, out=ext[:, :2])
+    x[..., :least].min(axis=-1, out=ext[:, 2:])
+    if least < x.shape[-1]:  # rows padded to the block's last size
+        tail = x[..., least:]
+        keep = (np.arange(least, x.shape[-1]) < np.array(sizes)[:, None])[:, None]
+        np.maximum(ext[:, :2], np.where(keep, tail, -np.inf).max(axis=-1), out=ext[:, :2])
+        np.minimum(ext[:, 2:], np.where(keep, tail, np.inf).min(axis=-1), out=ext[:, 2:])
+
+
+def _extremes(model, lineage, keys, sizes):
+    """Row i has size ``sizes[i]`` and is drawn from the stream
+    ``lineage.child(keys[i])``; it is reduced to (s1, s2, t1, t2), its
+    normalized maxima and reflected, normalized minima.  Sizes must not
+    decrease.
+
+    Rows go in blocks of consecutive keys, padded to the block's last size.
+    Each row is drawn by one ``model._sample`` call into a buffer reused across
+    blocks, and one ``model._rows`` call turns the block into row values.  The
+    filter is causal, so a row's prefix does not depend on its padding.  The
+    norming constants are recomputed only when the row size changes."""
+    sizes = np.asarray(sizes)
+    if np.any(sizes[1:] < sizes[:-1]):
+        raise DomainError("row sizes must not decrease")
     out = np.empty((len(keys), 4))
     ab = np.empty((len(keys), 2))  # each row's (a_n, b_n)
-    sizes = iter(sizes)
-    n = None
-    for lo in range(0, len(keys), _BLOCK):
-        for i, child in enumerate(lineage.children(keys[lo : lo + _BLOCK]), lo):
-            size = next(sizes)
-            if size != n:
-                n, nm = size, norming_constants(size)
-            x = sample(size, child.generator())
-            x.max(axis=1, out=out[i, :2])
-            x.min(axis=1, out=out[i, 2:])
-            ab[i] = nm.a, nm.b
+    starts = np.flatnonzero(np.diff(sizes, prepend=-1)).tolist()  # where the size changes
+    for lo, hi in zip(starts, starts[1:] + [len(keys)]):
+        nm = norming_constants(int(sizes[lo]))
+        ab[lo:hi] = nm.a, nm.b
+    streams = _streams(lineage, keys)
+    listed = sizes.tolist()
+    buf = np.zeros(0)
+    lo = 0
+    while lo < len(keys):
+        hi = _block(model, sizes, lo)
+        part = listed[lo:hi]
+        layout = model._layout(part[-1])
+        need = (hi - lo) * math.prod(layout)
+        if buf.size < need:  # zeros: padding is always finite
+            buf = np.zeros(max(need, _BLOCK_BYTES // 8))
+        block = buf[:need].reshape(hi - lo, *layout)
+        # zip ends at the block's last row before it takes another stream
+        for row, n, child in zip(block, part, streams):
+            model._sample(n, child.generator(), out=row)
+        _reduce(model._rows(block, part), part, out[lo:hi])
+        lo = hi
     np.negative(out[:, 2:], out=out[:, 2:])
     out -= ab[:, 1:]
     out /= ab[:, :1]
@@ -101,36 +158,13 @@ def _hits(ext, x1, x2, y1, y2):
     return (s1 <= x1) & (s2 <= x2) & (t1 < y1) & (t2 < y2)
 
 
-def _pooled_extremes(model, n, lineage, lo, hi):
-    """The extremes of replications lo..hi-1 in a pool worker, after fixing the
-    worker's ``malloc`` thresholds.  Only the model is pickled and
-    ``model._sample`` is looked up here: a bound method pickles by its
-    ``__name__``, which a wrapped ``_sample`` does not share.
-
-    With glibc's adaptive defaults a worker may hand its heap top back to the
-    system after every replication once rows pass about 128 KB, then fault the
-    next row's pages back in.  Whether it does depends on the heap layout it
-    inherits at fork, so the same ``verify strong --n 20000`` pass took 1.9 or
-    2.8 s, the difference being system time.  Fixed thresholds make every
-    replication reuse the same memory.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):  # no glibc mallopt: nothing to fix
-        pass
-    else:
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: rows up to 32 MB come from the heap
-        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MB of free heap
-    return _extremes(model._sample, lineage, range(lo, hi), itertools.repeat(n))
-
-
 def _all_extremes(model, n, lineage, total, workers):
     """The (total, 4) extremes of replications 0..total-1, in order."""
     if total < 100:
         raise DomainError(f"at least 100 replications required, got {total}")
     model.validate_n(n)
     if workers <= 1:
-        return _extremes(model._sample, lineage, range(total), itertools.repeat(n))
+        return _extremes(model, lineage, range(total), np.full(total, n))
     # chunks follow ``workers`` so results do not depend on the machine; the
     # pool, which forks all its processes at the first submit, is capped
     per = math.ceil(total / workers)
@@ -140,7 +174,8 @@ def _all_extremes(model, n, lineage, total, workers):
     elif isinstance(model, ExplicitModel):
         _explicit_factor(model, n)
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-        futures = [pool.submit(_pooled_extremes, model, n, lineage, lo, min(lo + per, total))
+        futures = [pool.submit(_extremes, model, lineage, range(lo, min(lo + per, total)),
+                               np.full(min(per, total - lo), n))
                    for lo in range(0, total, per)]
         return np.concatenate([fut.result() for fut in futures])
 
@@ -313,15 +348,34 @@ ASLT_HARD_CAP = 10**5
 ASLT_MAX_POINTS = 100  # per family; every report row repeats the points
 
 
-def _shared_row(model, k, rng, eta, c):
-    # stationary start pair is row-fresh; the persistent sequence enters the
-    # innovations only, so within-row law is exactly the model's
-    rho0 = model.rho0(k)
-    start = _pair(rng.standard_normal(2), rho0)
-    e = _pair(rng.standard_normal((2, k)), (rho0 - c) / (1.0 - c))
-    e *= math.sqrt(1.0 - c)
-    e += math.sqrt(c) * eta[:k]
-    return _ar1_path(model.phi, start, e)
+@dataclass(frozen=True)
+class _SharedRows:
+    """The rows of ``model`` along an ASLT path with shared coupling: the
+    persistent sequence ``eta`` enters every row's innovations with weight c.
+    Draw layout: the stationary start pair (2,), then the (2, n) innovations."""
+
+    model: WeakAR1Model
+    eta: np.ndarray
+    c: float
+
+    def _layout(self, n):
+        return (2 * n + 2,)
+
+    def _sample(self, n, rng, out):
+        rng.standard_normal(out=out[:2])
+        _fill(rng, out[2:].reshape(2, -1), n)
+
+    def _rows(self, block, sizes):
+        # the start pair is row-fresh and eta enters the innovations only, so
+        # the within-row law is exactly the model's
+        c = self.c
+        rho0 = _by_size(self.model.rho0, sizes)
+        start, e = block[:, :2], block[:, 2:].reshape(len(block), 2, -1)
+        _pair(start.T, rho0)
+        _pair(e.swapaxes(0, 1), ((rho0 - c) / (1.0 - c))[:, None])
+        e *= math.sqrt(1.0 - c)
+        e += math.sqrt(c) * self.eta[: e.shape[-1]]
+        return _ar1_path(self.model.phi, start, e)
 
 
 def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed,
@@ -362,7 +416,7 @@ def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed
     if any(not k_start <= cp <= n_max for cp in checkpoints):
         raise DomainError(f"checkpoints must lie in [{k_start}, n_max] for this model")
 
-    sample = model._sample
+    rows = range(k_start, n_max + 1)
     if coupling.kind == "shared":
         # child(0) is reserved for the persistent sequence; rows use child(k), k >= 2
         eta = lineage.child(0).generator().standard_normal(n_max)
@@ -374,10 +428,8 @@ def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed
                 f"shared coupling weight c={coupling.c:g} incompatible with "
                 f"rho_0({k_start})={rho0:g}"
             )
-        sample = lambda k, rng: _shared_row(model, k, rng, eta, coupling.c)
-
-    rows = range(k_start, n_max + 1)
-    extremes = _extremes(sample, lineage, rows, rows)
+        model = _SharedRows(model, eta, coupling.c)
+    extremes = _extremes(model, lineage, rows, rows)
 
     # a row minimum is finite, so the max-only point (x, y) is the four-sided
     # event (x, y, +inf, +inf).  cumsum adds in row order, one term at a time,

@@ -12,7 +12,12 @@ Three variants:
 
 Every sampler is deterministic given a seed lineage; one child stream per
 row/replication is part of the contract, so results are identical under any
-worker schedule.  A model's ``_sample`` returns the row as one (2, n) array.
+worker schedule.  A model samples in two steps.  ``_sample(n, rng, out)`` draws
+one row's standard normals into ``out``, a row of the model's draw layout
+(shape ``_layout(m)`` for a block whose largest row size is m >= n).
+``_rows(block, sizes)`` then turns a (B, *layout) block of such rows, whose
+sizes do not decrease, into their (B, 2, m) values in one batch; row i is
+valid on its first ``sizes[i]`` columns.  ``sample_row`` is a block of one row.
 
 ``scipy.signal`` (the AR(1) filter) and ``scipy.linalg`` (LAPACK's Cholesky)
 are loaded on first use, so importing the package does not pay for them.
@@ -46,11 +51,32 @@ class RowSample:
 
 
 def _pair(block, rho):
-    """Turn two iid standard-normal rows of ``block`` into a pair with
-    correlation rho, in place: row 1 becomes rho z0 + sqrt(1 - rho^2) z1."""
-    block[1] *= math.sqrt(max(0.0, 1.0 - rho * rho))
+    """Turn the two iid standard-normal components on the first axis of
+    ``block`` into a pair with correlation rho, in place: component 1 becomes
+    rho z0 + sqrt(1 - rho^2) z1.  ``rho`` is a scalar or broadcasts against a
+    component."""
+    block[1] *= np.sqrt(np.maximum(0.0, 1.0 - rho * rho))
     block[1] += rho * block[0]
     return block
+
+
+def _fill(rng, comps, n):
+    """Standard normals into the first n columns of the contiguous (2, m)
+    array ``comps``, in the order of one (2, n) draw: one draw per component
+    when n < m, which equals it."""
+    if comps.shape[-1] == n:
+        rng.standard_normal(out=comps)
+    else:
+        for comp in comps:
+            rng.standard_normal(out=comp[:n])
+
+
+def _by_size(fn, sizes):
+    """``fn(n)`` for the nondecreasing row sizes of a block, stacked on a
+    leading axis: one entry when the sizes are all equal, else one per row."""
+    if sizes[0] == sizes[-1]:
+        return np.array([fn(sizes[0])])
+    return np.array([fn(n) for n in sizes])
 
 
 @lru_cache(maxsize=None)
@@ -63,9 +89,10 @@ def _lfilter():
 
 def _ar1_path(phi, start, innovations):
     """Stationary AR(1) paths along the last axis: x_k = phi x_{k-1} +
-    sqrt(1-phi^2) eps_k, x_0 = start (one start per path)."""
+    sqrt(1-phi^2) eps_k, x_0 = start (one start per path).  With phi = 0 the
+    innovations are the paths and are returned as they are."""
     if phi == 0.0:
-        return innovations.copy()
+        return innovations
     scaled = math.sqrt(1.0 - phi * phi) * innovations
     zi = np.multiply(phi, start)[..., None]
     return _lfilter()([1.0], [1.0, -phi], scaled, zi=zi)[0]
@@ -122,11 +149,17 @@ class WeakAR1Model(_RowSizeRule):
         base = np.power(float(self.phi), np.asarray(lags, dtype=float))
         return base if i == j else self.rho0(n) * base
 
-    def _sample(self, n, rng):
-        # draw layout: one (2, n+1) normal block; column 0 seeds the
-        # stationary start, columns 1..n are the innovations
-        e = _pair(rng.standard_normal((2, n + 1)), self.rho0(n))
-        return _ar1_path(self.phi, e[:, 0], e[:, 1:])
+    def _layout(self, n):
+        # a (2, n+1) normal block: column 0 seeds the stationary start,
+        # columns 1..n are the innovations
+        return (2, n + 1)
+
+    def _sample(self, n, rng, out):
+        _fill(rng, out, n + 1)
+
+    def _rows(self, block, sizes):
+        _pair(block.swapaxes(0, 1), _by_size(self.rho0, sizes)[:, None])
+        return _ar1_path(self.phi, block[:, :, 0], block[:, :, 1:])
 
 
 @dataclass(frozen=True)
@@ -167,14 +200,22 @@ class StrongFactorModel(_RowSizeRule):
     def lag_corr_array(self, i, j, lags, n):
         return np.full(np.shape(lags), self.lag_corr(i, j, 1, n))
 
-    def _sample(self, n, rng):
-        # draw layout: one factor pair block (2,), then a (2, n) residual block;
-        # row i becomes sqrt(tau_ii) z0_i + sqrt(1 - tau_ii) r_i, in place
-        t = np.array(self.taus(n)[:2])[:, None]
-        z0 = _pair(rng.standard_normal(2), self.mix.rho_zw)[:, None]
-        x = _pair(rng.standard_normal((2, n)), self.residual_corr(n))
+    def _layout(self, n):
+        # drawn in this order: the factor pair (2,), then the (2, n) residuals
+        return (2 * n + 2,)
+
+    def _sample(self, n, rng, out):
+        rng.standard_normal(out=out[:2])
+        _fill(rng, out[2:].reshape(2, -1), n)
+
+    def _rows(self, block, sizes):
+        # component i becomes sqrt(tau_ii) z0_i + sqrt(1 - tau_ii) r_i, in place
+        z0, x = block[:, :2], block[:, 2:].reshape(len(block), 2, -1)
+        t = _by_size(self.taus, sizes)[:, :2, None]
+        _pair(z0.T, self.mix.rho_zw)
+        _pair(x.swapaxes(0, 1), _by_size(self.residual_corr, sizes)[:, None])
         x *= np.sqrt(1.0 - t)
-        x += np.sqrt(t) * z0
+        x += np.sqrt(t) * z0[:, :, None]
         return x
 
 
@@ -226,10 +267,19 @@ class ExplicitModel(_RowSizeRule):
             sigma[i - 1 :: 2, j - 1 :: 2] = np.where(back <= 0, vals[i, j][lag], vals[j, i][lag])
         return sigma
 
-    def _sample(self, n, rng):
-        chol = _explicit_factor(self, n)
-        v = chol @ rng.standard_normal(2 * n)
-        return np.ascontiguousarray(v.reshape(n, 2).T)
+    def _layout(self, n):
+        # 2n normals, interleaved as the rows of ``correlation_matrix``
+        return (2 * n,)
+
+    def _sample(self, n, rng, out):
+        rng.standard_normal(out=out[: 2 * n])
+
+    def _rows(self, block, sizes):
+        # one matrix-vector product per row: a batched product rounds differently
+        x = np.empty((len(block), 2, block.shape[1] // 2))
+        for row, v, n in zip(x, block, sizes):
+            row[:, :n] = (_explicit_factor(self, n) @ v[: 2 * n]).reshape(n, 2).T
+        return x
 
 
 # one factor: every consumer samples a single (model, n) at a time, and a
@@ -257,9 +307,12 @@ ArrayModel = WeakAR1Model | StrongFactorModel | ExplicitModel
 def sample_row(model: ArrayModel, n: int, seed) -> RowSample:
     """Sample one row of the triangular array; bit-identical for equal seeds."""
     lineage = as_lineage(seed)
-    model.validate_n(int(n))
-    x1, x2 = model._sample(int(n), lineage.generator())
-    return RowSample(n=int(n), x1=x1, x2=x2, seed_lineage=lineage)
+    n = int(n)
+    model.validate_n(n)
+    block = np.zeros((1, *model._layout(n)))
+    model._sample(n, lineage.generator(), out=block[0])
+    x1, x2 = model._rows(block, [n])[0]
+    return RowSample(n=n, x1=x1, x2=x2, seed_lineage=lineage)
 
 
 def induced_correlation(model: ArrayModel, i: int, j: int, k: int, n: int) -> float:

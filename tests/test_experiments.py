@@ -5,10 +5,12 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 import hrlab as H
-from hrlab import experiments
+from hrlab import experiments, gauss_arrays
 from hrlab.errors import DomainError
 
 ROOT = H.SeedLineage(909)
@@ -255,7 +257,8 @@ class TestAsltAverage:
         wsum, wsum_mm, harm = [0.0, 0.0], [0.0], 0.0
         averages, averages_mm, ceiling = [], [], []
         for k in range(path.k_start, 1001):
-            x1, x2 = m._sample(k, ROOT.child(12).child(k).generator())
+            row = H.sample_row(m, k, ROOT.child(12).child(k))
+            x1, x2 = row.x1, row.x2
             nm = H.norming_constants(k)
             s1, s2 = (x1.max() - nm.b) / nm.a, (x2.max() - nm.b) / nm.a
             t1, t2 = (-x1.min() - nm.b) / nm.a, (-x2.min() - nm.b) / nm.a
@@ -309,10 +312,13 @@ class TestAsltAverage:
 
 
 class TestRowKernel:
-    """``_extremes`` hashes streams in blocks and reduces (2, n) rows in place;
-    each row must equal the one-row path bit for bit, across a block edge."""
+    """``_extremes`` draws rows into a reused block buffer and pairs, filters
+    and reduces a block at once; each row must equal the one-row path
+    (``sample_row``, ``row_extremes`` and the norming constants) bit for bit."""
 
-    KEYS = range(7, 7 + 1030)  # starts off zero and crosses the 1024-key block edge
+    KEYS = range(7, 7 + 1030)  # starts off zero and crosses the 1024-key hash edge
+    WEAK = H.WeakAR1Model(1.0, 0.2)
+    STRONG = H.StrongFactorModel(H.MixtureParams(1.0, 1.0, 0.8, 1.0))
 
     @staticmethod
     def _normalized(row_ext, n):
@@ -320,31 +326,94 @@ class TestRowKernel:
         s1, s2, m1, m2 = row_ext
         return [(s1 - nm.b) / nm.a, (s2 - nm.b) / nm.a, (-m1 - nm.b) / nm.a, (-m2 - nm.b) / nm.a]
 
+    def _reference(self, model, lineage, keys, sizes):
+        return [self._normalized(H.row_extremes(H.sample_row(model, n, lineage.child(k))), n)
+                for k, n in zip(keys, sizes)]
+
     @pytest.mark.parametrize("model, n", [
-        (H.WeakAR1Model(1.0, 0.2), 60),
+        (WEAK, 60),
         (H.WeakAR1Model(1.0, 0.0), 60),
-        (H.StrongFactorModel(H.MixtureParams(1.0, 1.0, 0.8, 1.0)), 60),
+        (H.WeakAR1Model(1.0, -0.6), 60),
+        (STRONG, 60),
         (H.ExplicitModel(lambda n: 0.4, lambda i, j, k, n: 0.5**k * (0.7 if i != j else 1.0)), 12),
-    ], ids=["weak", "weak-phi0", "strong", "explicit"])
-    def test_model_rows_equal_one_row_reference(self, model, n):
+    ], ids=["weak", "weak-phi0", "weak-phi-negative", "strong", "explicit"])
+    def test_model_rows_equal_one_row_reference(self, monkeypatch, model, n):
+        # a 4 KB cap cuts the rows into several blocks between the hash edges
+        monkeypatch.setattr(experiments, "_BLOCK_BYTES", 4096)
         lineage = ROOT.child(41)
-        got = experiments._extremes(model._sample, lineage, self.KEYS, [n] * len(self.KEYS))
-        want = [self._normalized(H.row_extremes(H.sample_row(model, n, lineage.child(k))), n)
-                for k in self.KEYS]
-        assert np.array_equal(got, want)
+        sizes = np.full(len(self.KEYS), n)
+        assert 1 < experiments._block(model, sizes, 0) < 1024
+        got = experiments._extremes(model, lineage, self.KEYS, sizes)
+        assert np.array_equal(got, self._reference(model, lineage, self.KEYS, sizes))
+
+    def test_rows_longer_than_the_cap_go_one_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_BLOCK_BYTES", 4096)
+        lineage, keys = ROOT.child(43), range(5)
+        sizes = np.full(len(keys), 400)
+        assert experiments._block(self.STRONG, sizes, 0) == 1
+        got = experiments._extremes(self.STRONG, lineage, keys, sizes)
+        assert np.array_equal(got, self._reference(self.STRONG, lineage, keys, sizes))
+
+    @pytest.mark.parametrize("model", [WEAK, H.WeakAR1Model(1.0, 0.0),
+                                       H.WeakAR1Model(1.0, -0.6), STRONG],
+                             ids=["weak", "weak-phi0", "weak-phi-negative", "strong"])
+    def test_consecutive_sizes_share_a_padded_block(self, model):
+        # ASLT rows: size k from child(k), several sizes to a block
+        lineage = ROOT.child(44)
+        sizes = np.array(self.KEYS)
+        assert experiments._block(model, sizes, 0) > 1
+        got = experiments._extremes(model, lineage, self.KEYS, sizes)
+        assert np.array_equal(got, self._reference(model, lineage, self.KEYS, sizes))
+
+    @pytest.mark.parametrize("model", [WEAK, STRONG], ids=["weak", "strong"])
+    def test_one_row_equals_the_unbatched_formula(self, model):
+        # the rows as drawn before rows were batched: one (2, n+1) weak block,
+        # or the strong factor pair (2,) then the (2, n) residuals
+        n = 60
+        for k in range(5):
+            rng = ROOT.child(45).child(k).generator()
+            if model is self.WEAK:
+                e = gauss_arrays._pair(rng.standard_normal((2, n + 1)), model.rho0(n))
+                want = gauss_arrays._ar1_path(model.phi, e[:, 0], e[:, 1:])
+            else:
+                t = np.array(model.taus(n)[:2])[:, None]
+                z0 = gauss_arrays._pair(rng.standard_normal(2), model.mix.rho_zw)[:, None]
+                want = gauss_arrays._pair(rng.standard_normal((2, n)), model.residual_corr(n))
+                want *= np.sqrt(1.0 - t)
+                want += np.sqrt(t) * z0
+            row = H.sample_row(model, n, ROOT.child(45).child(k))
+            assert np.array_equal(np.stack([row.x1, row.x2]), want)
+
+    def test_decreasing_sizes_are_refused(self):
+        with pytest.raises(DomainError):
+            experiments._extremes(self.WEAK, ROOT, range(3), [60, 50, 60])
 
     def test_shared_coupling_rows_equal_one_row_reference(self):
         model, c = H.WeakAR1Model(1.0, 0.5), 0.2
         lineage = ROOT.child(42)
         eta = lineage.child(0).generator().standard_normal(max(self.KEYS))
-        sample = lambda k, rng: experiments._shared_row(model, k, rng, eta, c)  # noqa: E731
-        got = experiments._extremes(sample, lineage, self.KEYS, self.KEYS)
+        got = experiments._extremes(experiments._SharedRows(model, eta, c), lineage,
+                                    self.KEYS, self.KEYS)
         want = []
         for k in self.KEYS:
-            x1, x2 = sample(k, lineage.child(k).generator())
+            # one row as drawn before rows were batched: the start pair (2,),
+            # then the (2, k) innovations
+            rng, rho0 = lineage.child(k).generator(), model.rho0(k)
+            start = gauss_arrays._pair(rng.standard_normal(2), rho0)
+            e = gauss_arrays._pair(rng.standard_normal((2, k)), (rho0 - c) / (1.0 - c))
+            e *= math.sqrt(1.0 - c)
+            e += math.sqrt(c) * eta[:k]
+            x1, x2 = gauss_arrays._ar1_path(model.phi, start, e)
             row = H.RowSample(n=k, x1=x1, x2=x2, seed_lineage=lineage.child(k))
             want.append(self._normalized(H.row_extremes(row), k))
         assert np.array_equal(got, want)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), pad=st.integers(0, 40))
+    def test_split_component_draws_equal_one_block_draw(self, seed, n, pad):
+        comps = np.zeros((2, n + pad))
+        gauss_arrays._fill(np.random.default_rng(seed), comps, n)
+        assert np.array_equal(comps[:, :n], np.random.default_rng(seed).standard_normal((2, n)))
+        assert not comps[:, n:].any()
 
 
 class TestBoundSeries:
