@@ -533,7 +533,14 @@ def comparison_bound_series(model: ArrayModel, kind: str, x: float, y: float,
 
 def _cross_rate_value(phi, c, n, omega_n, x, y):
     """max_{2<=m<n} m * sum_{k=1..n} gbar(k) exp(-(omega_m^2+omega_n^2)/(2(1+gbar(k))))
-    with the cross-row correlation envelope gbar(k) = c * phi^(k-1)."""
+    with the cross-row correlation envelope gbar(k) = c * phi^(k-1).
+
+    The sum over k stops at k_eff, where the envelope underflows.  Rows m go in
+    blocks of at most ``_BLOCK_BYTES`` (256 KB) of terms, worked in one buffer
+    reused across blocks, with one ``exp`` per distinct denominator: 2(1 +
+    gbar(k)) is exactly 2.0 from some k on, and those columns repeat the first
+    of them.  Each step is elementwise or sums a whole row, so no bit depends on
+    the blocks."""
     if c == 0.0:
         return 0.0
     # truncate where the envelope underflows
@@ -541,21 +548,29 @@ def _cross_rate_value(phi, c, n, omega_n, x, y):
         k_eff = min(n, int(math.ceil((745.0 + math.log(max(c, 1e-300))) / -math.log(abs(phi)))) + 2)
     else:
         k_eff = 1
-    gbar = c * np.power(phi, np.arange(k_eff))
-    gbar = np.abs(gbar)
-    ms = np.arange(2, n)
-    ell = np.log(ms.astype(float))
-    r = np.sqrt(2.0 * ell)
-    bm = r - np.log(4.0 * math.pi * ell) / (2.0 * r)
-    am = 1.0 / r
-    om = np.minimum(np.abs(am * x + bm), np.abs(am * y + bm))
+    gbar = np.abs(c * np.power(phi, np.arange(k_eff)))
+    den = 2.0 * (1.0 + gbar)
+    # columns from d on have the denominator 2.0 of column d - 1
+    distinct = np.flatnonzero(den != 2.0)
+    d = min(k_eff, int(distinct[-1]) + 2) if distinct.size else 1
+    cap = _BLOCK_BYTES // 8
+    rows = max(1, cap // k_eff)
+    buf = np.empty(rows * k_eff)
     best = 0.0
-    for lo in range(0, ms.size, 4096):
-        m_blk = ms[lo : lo + 4096]
-        o_blk = om[lo : lo + 4096]
-        expo = -(o_blk[:, None] ** 2 + omega_n**2) / (2.0 * (1.0 + gbar[None, :]))
-        vals = m_blk * np.sum(gbar[None, :] * np.exp(expo), axis=1)
-        best = max(best, float(vals.max()))
+    for lo in range(2, n, cap):  # the per-m vectors, cap entries at a time
+        ms = np.arange(lo, min(lo + cap, n))
+        ell = np.log(ms.astype(float))
+        r = np.sqrt(2.0 * ell)
+        bm = r - np.log(4.0 * math.pi * ell) / (2.0 * r)
+        am = 1.0 / r
+        num = -(np.minimum(np.abs(am * x + bm), np.abs(am * y + bm))[:, None] ** 2 + omega_n**2)
+        for b in range(0, ms.size, rows):  # the terms, one block of rows at a time
+            e = buf[: min(rows, ms.size - b) * k_eff].reshape(-1, k_eff)
+            np.divide(num[b : b + rows], den[:d], out=e[:, :d])
+            np.exp(e[:, :d], out=e[:, :d])
+            e[:, d:] = e[:, d - 1 : d]
+            e *= gbar
+            best = max(best, float((ms[b : b + rows] * e.sum(axis=1)).max()))
     return best
 
 

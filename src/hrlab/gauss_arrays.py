@@ -146,7 +146,19 @@ class WeakAR1Model(_RowSizeRule):
         return base if i == j else self.rho0(n) * base
 
     def lag_corr_array(self, i, j, lags, n):
-        base = np.power(float(self.phi), np.asarray(lags, dtype=float))
+        # pow costs about 70 ns a lag once phi^k underflows to a signed zero
+        # (|phi|^k < 2^-1075), so it runs only where |phi|^k >= 2^-1100: 25
+        # binades of margin cover any rounding of the cut.  Past the cut the
+        # zero is -0.0 at odd integer k when phi is negative, as pow gives it;
+        # a negative phi keeps pow at non-integer k, where it gives NaN.
+        k = np.asarray(lags, dtype=float)
+        phi = self.phi
+        far = k > (1100.0 / -math.log2(abs(phi)) if phi else 0.0)
+        base = np.zeros(k.shape)
+        if math.copysign(1.0, phi) < 0.0:
+            far &= k == np.floor(k)
+            np.negative(base, out=base, where=far & (np.floor(0.5 * k) != 0.5 * k))
+        np.power(phi, k, out=base, where=~far)
         return base if i == j else self.rho0(n) * base
 
     def _layout(self, n):

@@ -1,11 +1,13 @@
 """Monte Carlo laws, mixture quadrature, ASLT paths and bound series."""
 
 import math
+import tracemalloc
 from concurrent.futures import Future
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -475,6 +477,77 @@ class TestBoundSeries:
     def test_rate_grid_floor(self):
         with pytest.raises(DomainError):
             H.aslt_bound_rate(H.WeakAR1Model(1.0, 0.5), H.INDEPENDENT_ROWS, 0.1, (8, 100))
+
+
+class TestCrossRateBlocks:
+    """``_cross_rate_value`` works the terms in one reused block of rows at a
+    time, with one ``exp`` per distinct denominator; it must equal the
+    whole-grid formula it replaced bit for bit, and its memory must not grow
+    with n."""
+
+    @staticmethod
+    def _reference(phi, c, n, omega_n, x, y):
+        # every per-m vector at once, and every term's exp, 4096 rows at a time
+        if c == 0.0:
+            return 0.0
+        if abs(phi) > 0.0:
+            k_eff = min(n, int(math.ceil((745.0 + math.log(max(c, 1e-300))) / -math.log(abs(phi)))) + 2)
+        else:
+            k_eff = 1
+        gbar = np.abs(c * np.power(phi, np.arange(k_eff)))
+        ms = np.arange(2, n)
+        ell = np.log(ms.astype(float))
+        r = np.sqrt(2.0 * ell)
+        bm = r - np.log(4.0 * math.pi * ell) / (2.0 * r)
+        am = 1.0 / r
+        om = np.minimum(np.abs(am * x + bm), np.abs(am * y + bm))
+        best = 0.0
+        for lo in range(0, ms.size, 4096):
+            m_blk = ms[lo : lo + 4096]
+            o_blk = om[lo : lo + 4096]
+            expo = -(o_blk[:, None] ** 2 + omega_n**2) / (2.0 * (1.0 + gbar[None, :]))
+            vals = m_blk * np.sum(gbar[None, :] * np.exp(expo), axis=1)
+            best = max(best, float(vals.max()))
+        return best
+
+    def _check(self, phi, c, n, x, y, block_bytes=1 << 18):
+        omega_n = experiments._omega(n, x, y)
+        with mock.patch.object(experiments, "_BLOCK_BYTES", block_bytes):
+            got = experiments._cross_rate_value(phi, c, n, omega_n, x, y)
+        assert got.hex() == self._reference(phi, c, n, omega_n, x, y).hex()
+
+    @settings(max_examples=40)
+    @given(phi=st.one_of(st.sampled_from([0.0, 0.99, -0.99]), st.floats(-0.99, 0.99)),
+           c=st.floats(0.0, 1.0, exclude_max=True), n=st.integers(16, 3000),
+           x=st.floats(-2.0, 4.0), y=st.floats(-2.0, 4.0),
+           block_bytes=st.sampled_from([4096, 1 << 18]))
+    def test_equals_the_whole_grid_formula(self, phi, c, n, x, y, block_bytes):
+        # a 4 KB cap puts a few hundred m in each chunk of per-m vectors
+        self._check(phi, c, n, x, y, block_bytes)
+
+    @pytest.mark.parametrize("phi, c, n", [
+        (0.5, 0.3, 1000),     # n < k_eff = 1076
+        (0.5, 0.3, 3002),     # 3000 rows: exactly 100 blocks of 30
+        (0.5, 0.3, 3003),     # one row past the last full block
+        (-0.7, 0.5, 32771),   # the per-m vectors cross their 32768-entry chunk
+        (0.95, 0.1, 5000),
+        (0.2, 0.9, 2000),
+    ])
+    def test_block_edges(self, phi, c, n):
+        self._check(phi, c, n, 3.0, 1.0)
+
+    def test_memory_does_not_grow_with_n(self):
+        # at phi = 0.999 the envelope outlives the row, so k_eff = n; the
+        # whole-grid formula held 4096 x 20000 terms, 655 MB, per temporary
+        n = 20000
+        omega_n = experiments._omega(n, 3.0, 3.0)
+        tracemalloc.start()
+        try:
+            experiments._cross_rate_value(0.999, 0.3, n, omega_n, 3.0, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 @pytest.mark.slow

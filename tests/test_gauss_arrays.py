@@ -52,6 +52,43 @@ class TestInducedCorrelation:
             H.induced_correlation(m, 3, 1, 0, 100)
 
 
+class TestLagCorrCut:
+    """``WeakAR1Model.lag_corr_array`` calls pow only where phi^k does not
+    underflow; each value, signed zeros included, must equal ``np.power`` on
+    the same lags."""
+
+    @staticmethod
+    def _reference(model, i, j, lags, n):
+        base = np.power(float(model.phi), np.asarray(lags, dtype=float))
+        return base if i == j else model.rho0(n) * base
+
+    def _check(self, model, lags, n=1000):
+        for i, j in ((1, 1), (1, 2), (2, 1)):
+            with np.errstate(all="ignore"):  # pow's NaN and overflow at non-integer and negative lags
+                want = self._reference(model, i, j, lags, n)
+                got = model.lag_corr_array(i, j, lags, n)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=30)
+    @given(phi=st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.999, -0.999]),
+                         st.floats(-0.999, 0.999)),
+           float_lags=st.booleans())
+    def test_equals_pow_over_the_full_lag_range(self, phi, float_lags):
+        lags = np.arange(200_001)
+        self._check(H.WeakAR1Model(1.0, phi), lags.astype(float) if float_lags else lags)
+
+    @pytest.mark.parametrize("phi", [-0.5, -0.9, -1e-300, -0.0, 0.0, 0.3])
+    def test_lags_past_the_cut(self, phi):
+        m = H.WeakAR1Model(1.0, phi)
+        # odd and even integer lags, one that rounds to an even float, and
+        # non-integer, huge, infinite, NaN and negative float lags
+        self._check(m, np.array([1100, 1101, 1102, 10**6 + 1, 2**53 + 1, 2**60 + 1]))
+        self._check(m, np.array([1101.0, 1101.5, 2.0**53, 2.0**60, np.inf, -np.inf,
+                                 np.nan, -3.0, 0.5]))
+        self._check(m, np.array([], dtype=int))
+
+
 class TestWeakAR1Sampling:
     def test_complete_dependence_rows_identical(self):
         row = H.sample_row(H.WeakAR1Model(0.0, 0.5), 50, 3)

@@ -32,6 +32,12 @@ CASES = {
                   "--ngrid", "1e3,1e4"),
     "bounds-rate": ("verify", "bounds", "--kind", "rate", "--lambda", "1", "--phi", "0.5",
                     "--coupling", "shared:0.3", "--ngrid", "100,1000,10000"),
+    # k_eff = 2089 < n = 30000: the cross-row sum spans many blocks of rows
+    "bounds-rate-blocks": ("verify", "bounds", "--kind", "rate", "--lambda", "1", "--phi", "-0.7",
+                           "--coupling", "shared:0.5", "--ngrid", "100,1000,30000"),
+    # lags past about 1100 give signed zeros without pow, -0.0 at odd lags
+    "bounds-L1-cut": ("verify", "bounds", "--kind", "L1", "--lambda", "1", "--phi", "-0.5",
+                      "--ngrid", "1e3,1e4,2e5"),
 }
 
 # (case, format) -> (exit code, SHA-256 of the report bytes)
@@ -54,6 +60,10 @@ GOLDEN = {
     ("bounds-L2", "csv"): (0, "344eedcbe18e6bab696c7d038285b8262973e006f77808f6aeede4d0fc21bf48"),
     ("bounds-rate", "json"): (0, "4e31d462b7f9bfe123d9e3bc539e3a84ee6bf4a6b89675a8827effe0f53d5eaf"),
     ("bounds-rate", "csv"): (0, "6c1faf4c46e1d9542b3a0655eec0a21ac814878f4a9a4c404ca534974d671291"),
+    ("bounds-rate-blocks", "json"): (0, "4cf3270e8e5fa6701c15fcf37cc39c729ef5a3ab93ab813b6a799cb8c02078b5"),
+    ("bounds-rate-blocks", "csv"): (0, "f0d215c506f3f2e4f276923167d75bf86de07802940209a4ae391f6076dd8515"),
+    ("bounds-L1-cut", "json"): (0, "cf1b3f804d55bf2ee11f91108da8922915810da8f644f81f408163219fe1c8dd"),
+    ("bounds-L1-cut", "csv"): (0, "09ba4c86939d2449352280f4085aefae98543f4765730c3917f4286605575d92"),
 }
 
 
