@@ -210,14 +210,18 @@ def hr_copula(lam, u, v):
     return _maybe_scalar(out)
 
 
-def _cond_cdf(lam, x, y):
+def _cond_cdf(lam, x, y, ex):
     # P(Y <= y | X = x) = dH/dx(x, y) / dH/dx(x, +inf)
-    #                   = exp(e^-x - V(x, y)) * Phi(lam + (y-x)/(2 lam))
+    #                   = exp(e^-x - V(x, y)) * Phi(lam + (y-x)/(2 lam)),
+    # with ex = e^-x.  V is hr_exponent's finite branch in its operation order:
+    # its Phi(lam - (x-y)/(2 lam)) is the same float as Phi(b), since
+    # x - y == -(y - x) exactly
     d = np.where(x == y, 0.0, y - x)
-    b = lam + d / (2.0 * lam)
+    q = d / (2.0 * lam)
+    phi_b = std_normal_cdf(lam + q)
     with np.errstate(over="ignore"):
-        v = hr_exponent(lam, x, y)
-        return np.exp(np.exp(-x) - v) * std_normal_cdf(b)
+        v = std_normal_cdf(lam - q) * np.exp(-y) + phi_b * ex
+        return np.exp(ex - v) * phi_b
 
 
 _UNIT_LO = 2.0**-53
@@ -233,13 +237,14 @@ def _conditional_quantile(lam, x, q):
     increasing in y, so failure to bracket indicates a bug and raises.
     """
     gq = gumbel_quantile(q)
+    ex = np.exp(-x)  # x >= -ln(53 ln 2): no overflow
     pad = 2.0 * lam * lam + 2.0
     lo = np.minimum(x, gq) - pad
     hi = np.maximum(x, gq) + pad
 
     step = 1.0
     for _ in range(_BRACKET_STEPS):
-        bad = _cond_cdf(lam, x, lo) > q
+        bad = _cond_cdf(lam, x, lo, ex) > q
         if not bad.any():
             break
         lo = np.where(bad, lo - step, lo)
@@ -248,7 +253,7 @@ def _conditional_quantile(lam, x, q):
         raise RuntimeError("failed to bracket conditional quantile from below")
     step = 1.0
     for _ in range(_BRACKET_STEPS):
-        bad = _cond_cdf(lam, x, hi) < q
+        bad = _cond_cdf(lam, x, hi, ex) < q
         if not bad.any():
             break
         hi = np.where(bad, hi + step, hi)
@@ -258,7 +263,7 @@ def _conditional_quantile(lam, x, q):
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        below = _cond_cdf(lam, x, mid) <= q
+        below = _cond_cdf(lam, x, mid, ex) <= q
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
         if np.max(hi - lo) <= _QUANTILE_TOL:

@@ -10,6 +10,7 @@ the block in one batch.  Bound series involve no simulation at all: they are
 exact sums over the model's induced correlations.
 """
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -237,11 +238,17 @@ def sup_distance(emp: EmpiricalLaw2D, theory) -> float:
 QUAD_MAX_NODES = 1024  # the 2-d rule holds nodes^2 arrays: about 81 MB at the cap
 
 
+@functools.lru_cache(maxsize=8)
 def _hermgauss(nodes):
+    """The Gauss-Hermite rule (nodes, weights), solved once per node count and
+    shared read-only."""
     nodes = int(nodes)
     if not 8 <= nodes <= QUAD_MAX_NODES:
         raise DomainError(f"quadrature nodes must lie in [8, {QUAD_MAX_NODES}], got {nodes}")
-    return special.roots_hermite(nodes)
+    rule = special.roots_hermite(nodes)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def mixture_limit_cdf(mp: MixtureParams, x: float, y: float, nodes: int = 128) -> float:
@@ -479,6 +486,14 @@ class AsltRateReport:
     bounded: bool
 
 
+def _thresholds(x, y):
+    """(x, y) as floats; +-inf drops that coordinate, NaN is refused."""
+    x, y = float(x), float(y)
+    if math.isnan(x) or math.isnan(y):
+        raise DomainError(f"x and y must not be NaN, got x={x}, y={y}")
+    return x, y
+
+
 def _omega(n, x, y):
     nm = norming_constants(n)
     return min(abs(nm.u(x)), abs(nm.u(y)))
@@ -519,6 +534,7 @@ def comparison_bound_series(model: ArrayModel, kind: str, x: float, y: float,
     n_grid = tuple(int(n) for n in n_grid)
     if not n_grid or any(n < 2 for n in n_grid):
         raise DomainError("n_grid must be non-empty with entries >= 2")
+    x, y = _thresholds(x, y)
     taus = None
     if kind == "L2":
         if not isinstance(model, StrongFactorModel):
@@ -531,16 +547,39 @@ def comparison_bound_series(model: ArrayModel, kind: str, x: float, y: float,
     )
 
 
+def _rate_rows(num, den, d, gbar, buf):
+    """Row sums sum_k gbar(k) exp(num_i / den(k)) for the column ``num`` (B, 1),
+    worked in ``buf``: ``exp`` on the first ``d`` columns only, the later ones
+    (where ``den`` is exactly 2.0) copied from column d - 1.  A row's sum
+    depends on its numerator alone, not on the other rows of the call."""
+    e = buf[: len(num) * gbar.size].reshape(-1, gbar.size)
+    np.divide(num, den[:d], out=e[:, :d])
+    np.exp(e[:, :d], out=e[:, :d])
+    e[:, d:] = e[:, d - 1 : d]
+    e *= gbar
+    return e.sum(axis=1)
+
+
+_GROUP_ROWS = 32  # rows sharing one bound row in the cross-row rate search
+
+
 def _cross_rate_value(phi, c, n, omega_n, x, y):
     """max_{2<=m<n} m * sum_{k=1..n} gbar(k) exp(-(omega_m^2+omega_n^2)/(2(1+gbar(k))))
     with the cross-row correlation envelope gbar(k) = c * phi^(k-1).
 
     The sum over k stops at k_eff, where the envelope underflows.  Rows m go in
-    blocks of at most ``_BLOCK_BYTES`` (256 KB) of terms, worked in one buffer
-    reused across blocks, with one ``exp`` per distinct denominator: 2(1 +
-    gbar(k)) is exactly 2.0 from some k on, and those columns repeat the first
-    of them.  Each step is elementwise or sums a whole row, so no bit depends on
-    the blocks."""
+    blocks of at most ``_BLOCK_BYTES`` (256 KB) of terms through
+    ``_rate_rows``.  The max is a bounded search: the per-m vectors are
+    worked from the largest m down, cap entries at a time, and their rows split
+    into groups of whole blocks, at least ``_GROUP_ROWS`` rows each.  A group's
+    row sums grow with the numerator -(omega_m^2 + omega_n^2), so the row sum
+    S_top at its largest numerator bounds them all: m * S_m <= m_hi * S_top,
+    with m_hi the group's largest m.  The bound takes a relative margin of
+    2^-30 for the few-ulp error of ``exp``, and k_eff * 2^-1060 for its
+    absolute error where terms are subnormal.  Groups are summed in descending
+    bound order until a bound is <= the running max; a skipped row's value is
+    then at most the max of rows that were summed, and summed rows are
+    computed exactly as by the full sum, so the result is the same float."""
     if c == 0.0:
         return 0.0
     # truncate where the envelope underflows
@@ -555,22 +594,31 @@ def _cross_rate_value(phi, c, n, omega_n, x, y):
     d = min(k_eff, int(distinct[-1]) + 2) if distinct.size else 1
     cap = _BLOCK_BYTES // 8
     rows = max(1, cap // k_eff)
+    group = rows * -(-_GROUP_ROWS // rows)
+    slack = k_eff * 2.0**-1060
     buf = np.empty(rows * k_eff)
+
+    def sums(num):  # the row sums of a column of numerators, a block at a time
+        return np.concatenate([_rate_rows(num[b : b + rows], den, d, gbar, buf)
+                               for b in range(0, len(num), rows)])
+
     best = 0.0
-    for lo in range(2, n, cap):  # the per-m vectors, cap entries at a time
+    for lo in reversed(range(2, n, cap)):  # the per-m vectors, cap entries at a time
         ms = np.arange(lo, min(lo + cap, n))
         ell = np.log(ms.astype(float))
         r = np.sqrt(2.0 * ell)
         bm = r - np.log(4.0 * math.pi * ell) / (2.0 * r)
         am = 1.0 / r
         num = -(np.minimum(np.abs(am * x + bm), np.abs(am * y + bm))[:, None] ** 2 + omega_n**2)
-        for b in range(0, ms.size, rows):  # the terms, one block of rows at a time
-            e = buf[: min(rows, ms.size - b) * k_eff].reshape(-1, k_eff)
-            np.divide(num[b : b + rows], den[:d], out=e[:, :d])
-            np.exp(e[:, :d], out=e[:, :d])
-            e[:, d:] = e[:, d - 1 : d]
-            e *= gbar
-            best = max(best, float((ms[b : b + rows] * e.sum(axis=1)).max()))
+        starts = np.arange(0, ms.size, group)
+        tops = np.maximum.reduceat(num[:, 0], starts)[:, None]
+        m_hi = ms[np.minimum(starts + group, ms.size) - 1]
+        bounds = m_hi * (sums(tops) * (1.0 + 2.0**-30) + slack)
+        for g in np.argsort(-bounds, kind="stable"):
+            if bounds[g] <= best:
+                break
+            part = slice(starts[g], starts[g] + group)
+            best = max(best, float((ms[part] * sums(num[part])).max()))
     return best
 
 
@@ -587,6 +635,7 @@ def aslt_bound_rate(model: ArrayModel, cross_row: Coupling, epsilon: float,
     n_grid = tuple(int(n) for n in n_grid)
     if not n_grid or any(n < 16 for n in n_grid):
         raise DomainError("n_grid entries must be >= 16 so that ln ln n > 1")
+    x, y = _thresholds(x, y)
 
     omega_rule = f"omega_n = min(|u_n({x:g})|, |u_n({y:g})|)"
     within_vals = tuple(_weak_sum(model, n, _omega(n, x, y), "L1") for n in n_grid)

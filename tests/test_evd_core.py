@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hrlab as H
+from hrlab import evd_core
 from hrlab.errors import DomainError
 
 # Frozen oracle values (mpmath at 30 significant digits, computed independently
@@ -240,6 +241,17 @@ class TestHrSample:
             for gy in grid:
                 emp = np.mean((pts[:, 0] <= gx) & (pts[:, 1] <= gy))
                 assert abs(emp - H.hr_cdf(1.0, gx, gy)) <= radius
+
+    @given(lam=st.floats(1e-3, 1e3), x=st.floats(-4.0, 40.0), y=st.floats(-60.0, 60.0))
+    def test_conditional_cdf_equals_the_exponent_formula(self, lam, x, y):
+        # the sampler's inlined V must be hr_exponent's float, bit for bit
+        x, y = np.array([x, x]), np.array([y, x])
+        d = np.where(x == y, 0.0, y - x)
+        with np.errstate(over="ignore"):
+            want = (np.exp(np.exp(-x) - H.hr_exponent(lam, x, y))
+                    * H.std_normal_cdf(lam + d / (2.0 * lam)))
+            got = evd_core._cond_cdf(lam, x, y, np.exp(-x))
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("lam", [0.5, 2.0])
     def test_marginals_are_gumbel(self, lam):

@@ -179,6 +179,11 @@ class TestMixtureQuadrature:
     def test_univariate_degenerate(self):
         assert H.univariate_mixture_cdf(0.0, 0.4) == pytest.approx(H.gumbel_cdf(0.4), abs=1e-15)
 
+    def test_rule_is_solved_once_and_read_only(self):
+        h, w = experiments._hermgauss(128)
+        assert experiments._hermgauss(128)[0] is h
+        assert not (h.flags.writeable or w.flags.writeable)
+
     @pytest.mark.parametrize("nodes", [4, 1025])
     def test_node_floor(self, nodes):
         with pytest.raises(DomainError):
@@ -478,16 +483,33 @@ class TestBoundSeries:
         with pytest.raises(DomainError):
             H.aslt_bound_rate(H.WeakAR1Model(1.0, 0.5), H.INDEPENDENT_ROWS, 0.1, (8, 100))
 
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_nan_threshold_is_refused(self, x, y):
+        m = H.WeakAR1Model(1.0, 0.5)
+        with pytest.raises(DomainError):
+            H.comparison_bound_series(m, "L1", x, y, (100,))
+        with pytest.raises(DomainError):
+            H.aslt_bound_rate(m, H.shared_innovations(0.3), 0.1, (100,), x, y)
+
+    def test_infinite_threshold_drops_its_coordinate(self):
+        m = H.WeakAR1Model(1.0, 0.5)
+        grid_ = (100, 1000)
+        assert (H.comparison_bound_series(m, "L1", math.inf, 1.0, grid_).values
+                == H.comparison_bound_series(m, "L1", 1.0, 1.0, grid_).values)
+        rep = H.aslt_bound_rate(m, H.shared_innovations(0.3), 0.1, grid_, 1.0, -math.inf)
+        assert rep.cross_row.values == H.aslt_bound_rate(
+            m, H.shared_innovations(0.3), 0.1, grid_, 1.0, 1.0).cross_row.values
+
 
 class TestCrossRateBlocks:
-    """``_cross_rate_value`` works the terms in one reused block of rows at a
-    time, with one ``exp`` per distinct denominator; it must equal the
-    whole-grid formula it replaced bit for bit, and its memory must not grow
-    with n."""
+    """``_cross_rate_value`` sums only the groups of rows whose bound can still
+    reach the running max, in reused blocks of rows with one ``exp`` per
+    distinct denominator; it must equal the whole-grid formula bit for bit, and
+    its memory must not grow with n."""
 
     @staticmethod
     def _reference(phi, c, n, omega_n, x, y):
-        # every per-m vector at once, and every term's exp, 4096 rows at a time
+        # every per-m vector at once, and every term's exp, 2^20 terms at a time
         if c == 0.0:
             return 0.0
         if abs(phi) > 0.0:
@@ -502,9 +524,10 @@ class TestCrossRateBlocks:
         am = 1.0 / r
         om = np.minimum(np.abs(am * x + bm), np.abs(am * y + bm))
         best = 0.0
-        for lo in range(0, ms.size, 4096):
-            m_blk = ms[lo : lo + 4096]
-            o_blk = om[lo : lo + 4096]
+        step = max(1, (1 << 20) // k_eff)
+        for lo in range(0, ms.size, step):
+            m_blk = ms[lo : lo + step]
+            o_blk = om[lo : lo + step]
             expo = -(o_blk[:, None] ** 2 + omega_n**2) / (2.0 * (1.0 + gbar[None, :]))
             vals = m_blk * np.sum(gbar[None, :] * np.exp(expo), axis=1)
             best = max(best, float(vals.max()))
@@ -515,11 +538,12 @@ class TestCrossRateBlocks:
         with mock.patch.object(experiments, "_BLOCK_BYTES", block_bytes):
             got = experiments._cross_rate_value(phi, c, n, omega_n, x, y)
         assert got.hex() == self._reference(phi, c, n, omega_n, x, y).hex()
+        return got
 
     @settings(max_examples=40)
-    @given(phi=st.one_of(st.sampled_from([0.0, 0.99, -0.99]), st.floats(-0.99, 0.99)),
+    @given(phi=st.one_of(st.sampled_from([0.0, 0.999, -0.999]), st.floats(-0.999, 0.999)),
            c=st.floats(0.0, 1.0, exclude_max=True), n=st.integers(16, 3000),
-           x=st.floats(-2.0, 4.0), y=st.floats(-2.0, 4.0),
+           x=st.floats(-10.0, 10.0), y=st.floats(-10.0, 10.0),
            block_bytes=st.sampled_from([4096, 1 << 18]))
     def test_equals_the_whole_grid_formula(self, phi, c, n, x, y, block_bytes):
         # a 4 KB cap puts a few hundred m in each chunk of per-m vectors
@@ -535,6 +559,56 @@ class TestCrossRateBlocks:
     ])
     def test_block_edges(self, phi, c, n):
         self._check(phi, c, n, 3.0, 1.0)
+
+    @pytest.mark.parametrize("phi, c, n, x, y", [
+        (0.5, 0.3, 10000, -4.0, 1.0),      # omega_m falls, then rises in m
+        (0.999, 0.3, 16500, -10.0, 10.0),  # k_eff = n: one row per block
+        (-0.999, 0.999, 16400, 2.0, -7.5),
+    ])
+    def test_wide_thresholds_and_long_envelopes(self, phi, c, n, x, y):
+        self._check(phi, c, n, x, y)
+
+    def test_all_underflow_gives_zero(self):
+        # omega_m^2 / 2 is past 745 for every m: every term underflows
+        assert self._check(0.5, 0.3, 3000, 1000.0, 1000.0) == 0.0
+
+    def test_sums_few_rows(self):
+        # the bench grid's largest n: a bound row per 60 rows, and few groups
+        # whose bound reaches the running max
+        n, summed = 10**5, []
+        rows = experiments._rate_rows
+
+        def counted(num, *args):
+            summed.append(len(num))
+            return rows(num, *args)
+
+        with mock.patch.object(experiments, "_rate_rows", counted):
+            self._check(0.5, 0.3, n, 0.0, 0.0)
+        assert sum(summed) < 0.05 * (n - 2)
+
+    @pytest.mark.parametrize("phi, x, y", [(0.5, -4.0, 1.0), (0.999, -8.0, -14.0)])
+    def test_bound_search_finds_an_interior_max(self, phi, x, y):
+        # a stand-in row sum that grows with the numerator but falls steeply
+        # with it puts the max mid-range, where u_m(x) or u_m(y) crosses 0
+        # (twice for x = -8, y = -14), and makes neighbouring groups close;
+        # the search must still return the max over every row
+        n = 20000
+        omega_n = experiments._omega(n, x, y)
+        ms = np.arange(2, n)
+        ell = np.log(ms.astype(float))
+        r = np.sqrt(2.0 * ell)
+        bm = r - np.log(4.0 * math.pi * ell) / (2.0 * r)
+        am = 1.0 / r
+        num = -(np.minimum(np.abs(am * x + bm), np.abs(am * y + bm)) ** 2 + omega_n**2)
+        values = ms * np.exp(3.0 * num)
+        assert 2 < np.argmax(values) < ms.size - 1000
+
+        def steep(num, den, d, gbar, buf):
+            return np.exp(3.0 * num[:, 0])
+
+        with mock.patch.object(experiments, "_rate_rows", steep):
+            got = experiments._cross_rate_value(phi, 0.3, n, omega_n, x, y)
+        assert got == values.max()
 
     def test_memory_does_not_grow_with_n(self):
         # at phi = 0.999 the envelope outlives the row, so k_eff = n; the

@@ -35,6 +35,10 @@ CASES = {
     # k_eff = 2089 < n = 30000: the cross-row sum spans many blocks of rows
     "bounds-rate-blocks": ("verify", "bounds", "--kind", "rate", "--lambda", "1", "--phi", "-0.7",
                            "--coupling", "shared:0.5", "--ngrid", "100,1000,30000"),
+    # x = -4 makes omega_m = min(|u_m(x)|, |u_m(y)|) fall and then rise in m
+    "bounds-rate-xy": ("verify", "bounds", "--kind", "rate", "--lambda", "1", "--phi", "0.5",
+                       "--coupling", "shared:0.3", "--ngrid", "100,1000,10000",
+                       "--x", "-4", "--y", "1"),
     # lags past about 1100 give signed zeros without pow, -0.0 at odd lags
     "bounds-L1-cut": ("verify", "bounds", "--kind", "L1", "--lambda", "1", "--phi", "-0.5",
                       "--ngrid", "1e3,1e4,2e5"),
@@ -62,6 +66,8 @@ GOLDEN = {
     ("bounds-rate", "csv"): (0, "6c1faf4c46e1d9542b3a0655eec0a21ac814878f4a9a4c404ca534974d671291"),
     ("bounds-rate-blocks", "json"): (0, "4cf3270e8e5fa6701c15fcf37cc39c729ef5a3ab93ab813b6a799cb8c02078b5"),
     ("bounds-rate-blocks", "csv"): (0, "f0d215c506f3f2e4f276923167d75bf86de07802940209a4ae391f6076dd8515"),
+    ("bounds-rate-xy", "json"): (0, "02b7f4dd7629088e79655f455046f0d0f028a164fa5c79071bb68e488c49465f"),
+    ("bounds-rate-xy", "csv"): (0, "4b8474773913f8893a938eb6cf3fbefc6563728b0d42f79ce1ea6d8648a9ebbd"),
     ("bounds-L1-cut", "json"): (0, "cf1b3f804d55bf2ee11f91108da8922915810da8f644f81f408163219fe1c8dd"),
     ("bounds-L1-cut", "csv"): (0, "09ba4c86939d2449352280f4085aefae98543f4765730c3917f4286605575d92"),
 }
