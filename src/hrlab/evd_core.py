@@ -5,13 +5,16 @@ independence (parameter +inf), with standard Gumbel marginals throughout.
 All evaluation routines accept scalars or numpy arrays (broadcasting) and
 are total on the declared domains: the three parameter branches are chosen
 deterministically and no NaN can leak out at the branch points.
+
+``scipy.special`` (erfc, and the Gauss-Hermite rule of the mixture limits) is
+loaded on first use, so importing the package does not pay for it.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 from .seeding import as_lineage
@@ -108,9 +111,17 @@ def _maybe_scalar(a):
     return float(a) if np.ndim(a) == 0 else a
 
 
+@lru_cache(maxsize=None)
+def _special():
+    """``scipy.special``, imported on the first call."""
+    from scipy import special
+
+    return special
+
+
 def std_normal_cdf(z):
     """Standard Gaussian CDF, evaluated through erfc for tail accuracy."""
-    out = 0.5 * special.erfc(np.negative(z) / _SQRT2)
+    out = 0.5 * _special().erfc(np.negative(z) / _SQRT2)
     return _maybe_scalar(out)
 
 

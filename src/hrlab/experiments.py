@@ -17,10 +17,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
-from .evd_core import MixtureParams, gumbel_cdf, hr_cdf
+from .evd_core import MixtureParams, _special, gumbel_cdf, hr_cdf
 from .gauss_arrays import (
     _PAIRS, ArrayModel, ExplicitModel, StrongFactorModel, WeakAR1Model, _ar1_path, _by_size,
     _explicit_factor, _fill, _lfilter, _pair,
@@ -245,7 +244,7 @@ def _hermgauss(nodes):
     nodes = int(nodes)
     if not 8 <= nodes <= QUAD_MAX_NODES:
         raise DomainError(f"quadrature nodes must lie in [8, {QUAD_MAX_NODES}], got {nodes}")
-    rule = special.roots_hermite(nodes)
+    rule = _special().roots_hermite(nodes)
     for a in rule:
         a.flags.writeable = False
     return rule
@@ -503,22 +502,33 @@ _SUM_CHUNK = 1 << 20
 
 
 def _weak_sum(model, n, omega, kind, taus=None):
-    """n * sum_k |rho(k,n) [- tau(n)]| exp(-omega^2 / (1 + scale)), max over pairs."""
+    """n * sum_k |rho(k,n) [- tau(n)]| exp(-omega^2 / (1 + scale)), max over pairs.
+
+    Each chunk is worked in place, in a weight and a term buffer, by the
+    operations of weight * exp(-w2 / (1.0 + scale)) in their order, so its sum
+    is the float that expression gives."""
     out = 0.0
     w2 = omega * omega
     for pair_idx, (i, j) in enumerate(_PAIRS):
         total = 0.0
         for lo in range(1, n, _SUM_CHUNK):
-            lags = np.arange(lo, min(lo + _SUM_CHUNK, n))
-            rho = np.abs(np.asarray(model.lag_corr_array(i, j, lags, n), dtype=float))
+            lags = np.arange(lo, min(lo + _SUM_CHUNK, n), dtype=float)
+            rho = np.asarray(model.lag_corr_array(i, j, lags, n), dtype=float)
+            np.abs(rho, out=rho)
             if kind == "L2":
                 tau_n = taus[pair_idx] / math.log(n)
-                scale = np.maximum(rho, tau_n)
-                weight = np.abs(np.asarray(model.lag_corr_array(i, j, lags, n)) - tau_n)
+                weight = np.asarray(model.lag_corr_array(i, j, lags, n), dtype=float)
+                np.subtract(weight, tau_n, out=weight)
+                np.abs(weight, out=weight)
+                term = np.maximum(rho, tau_n, out=rho)  # the scale
+                np.add(1.0, term, out=term)
             else:
-                scale = rho
                 weight = rho
-            total += float(np.sum(weight * np.exp(-w2 / (1.0 + scale))))
+                term = np.add(1.0, rho)
+            np.divide(-w2, term, out=term)
+            np.exp(term, out=term)
+            term *= weight
+            total += float(np.sum(term))
         out = max(out, n * total)
     return out
 
@@ -582,6 +592,10 @@ def _cross_rate_value(phi, c, n, omega_n, x, y):
     computed exactly as by the full sum, so the result is the same float."""
     if c == 0.0:
         return 0.0
+    try:
+        w2n = omega_n**2
+    except OverflowError:  # every numerator is -inf, so every term is exp(-inf) = 0
+        return 0.0
     # truncate where the envelope underflows
     if abs(phi) > 0.0:
         k_eff = min(n, int(math.ceil((745.0 + math.log(max(c, 1e-300))) / -math.log(abs(phi)))) + 2)
@@ -609,7 +623,8 @@ def _cross_rate_value(phi, c, n, omega_n, x, y):
         r = np.sqrt(2.0 * ell)
         bm = r - np.log(4.0 * math.pi * ell) / (2.0 * r)
         am = 1.0 / r
-        num = -(np.minimum(np.abs(am * x + bm), np.abs(am * y + bm))[:, None] ** 2 + omega_n**2)
+        with np.errstate(over="ignore"):  # an omega_m^2 of inf is a row of zero terms
+            num = -(np.minimum(np.abs(am * x + bm), np.abs(am * y + bm))[:, None] ** 2 + w2n)
         starts = np.arange(0, ms.size, group)
         tops = np.maximum.reduceat(num[:, 0], starts)[:, None]
         m_hi = ms[np.minimum(starts + group, ms.size) - 1]

@@ -159,7 +159,9 @@ class WeakAR1Model(_RowSizeRule):
             far &= k == np.floor(k)
             np.negative(base, out=base, where=far & (np.floor(0.5 * k) != 0.5 * k))
         np.power(phi, k, out=base, where=~far)
-        return base if i == j else self.rho0(n) * base
+        if i != j:  # in place: the bound sums call this on a million lags at once
+            base *= self.rho0(n)
+        return base
 
     def _layout(self, n):
         # a (2, n+1) normal block: column 0 seeds the stationary start,

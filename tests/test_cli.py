@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -144,6 +145,21 @@ class TestVerifyCommands:
         report = json.loads(out)
         assert report["summary"]["bounded"] is True
         assert all(r["cross_row_value"] == 0.0 for r in report["table"])
+
+    @pytest.mark.parametrize("x", ["1e300", "3e154"], ids=["omega-n", "omega-m"])
+    def test_bounds_rate_overflowing_omega_sums_to_zero(self, capsys, x):
+        # omega_n^2 overflows at 1e300, and omega_m^2 of the smallest rows at
+        # 3e154: each such term is exp(-inf) = 0, as in the L1 sum, unwarned
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "verify", "bounds", "--kind", "rate", "--lambda", "1", "--phi", "0.5",
+                "--coupling", "shared:0.3", "--ngrid", "1e2,1e3", "--x", x, "--y", x,
+                "--format", "json",
+            )
+        assert (code, err, caught) == (0, "", [])
+        table = json.loads(out)["table"]
+        assert all(r["within_row_value"] == r["cross_row_value"] == 0.0 for r in table)
 
     def test_weak_smoke_json(self, capsys):
         code, out, _ = run_cli(

@@ -11,7 +11,7 @@ import sys
 import hrlab
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hrlab.__file__)))
-HEAVY = ("scipy.signal", "scipy.stats", "scipy.linalg")
+HEAVY = ("scipy.special", "scipy.signal", "scipy.stats", "scipy.linalg")
 
 
 def _output(code):
@@ -31,6 +31,30 @@ def _loaded_after(code):
 def test_import_and_parser_leave_heavy_scipy_unloaded():
     assert _loaded_after("import hrlab") == set()
     assert _loaded_after("import hrlab.cli; hrlab.cli.build_parser()") == set()
+
+
+_BOUNDS_RUNS = """
+import contextlib, io
+from hrlab.cli import main
+runs = ["--kind L1 --lambda 1 --phi 0.5 --ngrid 1e3,1e4,1e5",
+        "--kind L2 --lambda 1 --tau 1,1,0.8 --ngrid 1e3,1e4",
+        "--kind rate --lambda 1 --phi 0.5 --coupling shared:0.3 --ngrid 1e2,1e3",
+        "--kind L3 --lambda 1 --phi 0.5",
+        "--lambda 1 --phi 0.5 --ngrid 1e3,1e12"]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(["verify", "bounds", *run.split()]) for run in runs]
+if codes != [0, 0, 0, 2, 2]:
+    raise SystemExit(f"unexpected exit codes {codes}")
+"""
+
+
+def test_bound_sums_and_usage_errors_leave_heavy_scipy_unloaded():
+    # the bound series are numpy only, and a usage error exits before any work
+    assert _loaded_after(_BOUNDS_RUNS) == set()
+
+
+def test_first_cdf_call_loads_scipy_special():
+    assert "scipy.special" in _loaded_after("import hrlab; hrlab.hr_cdf(1.0, 0.0, 0.0)")
 
 
 _POOL_RUN = """
