@@ -21,7 +21,7 @@ from .evd_core import (
     hr_sample,
     std_normal_cdf,
 )
-from .norming import Norming, lambda_from_rho0, norming_constants, rho0_from_lambda, u_n
+from .norming import Norming, lambda_from_rho0, norming_constants, rho0_from_lambda
 from .gauss_arrays import (
     AssumptionReport,
     ExplicitModel,
@@ -97,7 +97,6 @@ __all__ = [
     "shared_innovations",
     "std_normal_cdf",
     "sup_distance",
-    "u_n",
     "univariate_mixture_cdf",
     "validate_assumption",
 ]

@@ -28,6 +28,7 @@ from .errors import DomainError, HrlabError
 from .evd_core import MixtureParams, as_param, hr_cdf, hr_exponent
 from .experiments import (
     Coupling,
+    _quad_nodes,
     aslt_average,
     aslt_bound_rate,
     comparison_bound_series,
@@ -281,6 +282,11 @@ def _grid_rows(axes, names, **columns) -> list[dict]:
 
 def cmd_hr_eval(cfg: RunConfig, workers: int):
     axis = _axis(cfg.grid)
+    # the exponent is at most e^-x + e^-y, largest at the grid's lower corner
+    with np.errstate(over="ignore"):
+        if np.isinf(2.0 * np.exp(-axis[0])):
+            raise DomainError(f"--grid lower end {axis[0]:g} overflows the exponent "
+                              "exp(-x) + exp(-y)")
     p = as_param(cfg.lam)
     label = "zero" if p.is_zero else ("inf" if p.is_inf else "finite")
     x, y = axis[:, None], axis[None, :]
@@ -330,6 +336,7 @@ def cmd_verify_weak(cfg: RunConfig, workers: int):
 
 def cmd_verify_strong(cfg: RunConfig, workers: int):
     model = _strong_model(cfg)
+    _quad_nodes(cfg.nodes)  # before any row is drawn
     mp = model.mix
     axis = _axis(cfg.grid)
     gy = np.append(axis, np.inf)  # the +inf column carries the x-marginal

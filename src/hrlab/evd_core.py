@@ -146,6 +146,7 @@ def hr_exponent(lam, x, y):
 
     Satisfies max(e^-x, e^-y) <= V <= e^-x + e^-y.  +inf arguments are the
     marginalization convention (the corresponding term drops out exactly).
+    Where e^-x or e^-y overflows, V is +inf.
     """
     p = as_param(lam)
     x = np.asarray(x, dtype=float)
@@ -163,7 +164,11 @@ def hr_exponent(lam, x, y):
             with np.errstate(invalid="ignore"):
                 d = np.where(x == y, 0.0, x - y)
             t = d / (2.0 * lv)
-            out = std_normal_cdf(lv + t) * ey + std_normal_cdf(lv - t) * ex
+            # a Gaussian factor that underflows to 0 would meet an infinite
+            # e^-x or e^-y as 0 * inf
+            with np.errstate(invalid="ignore"):
+                out = std_normal_cdf(lv + t) * ey + std_normal_cdf(lv - t) * ex
+            out = np.where(np.isinf(ex) | np.isinf(ey), np.inf, out)
     return _maybe_scalar(out)
 
 
@@ -181,7 +186,8 @@ def hr_cdf_dx(lam, x, y):
 
     The product rule on exp(-V) leaves H * Phi(lam + (y-x)/(2 lam)) * e^-x:
     the two Gaussian-density terms cancel exactly because
-    phi(a) e^-y == phi(b) e^-x whenever a^2 - b^2 = 2(x - y).
+    phi(a) e^-y == phi(b) e^-x whenever a^2 - b^2 = 2(x - y).  It is 0
+    wherever H is 0, also where e^-x overflows.
     """
     p = as_param(lam)
     if p.is_zero or p.is_inf:
@@ -191,9 +197,10 @@ def hr_cdf_dx(lam, x, y):
     with np.errstate(invalid="ignore"):
         d = np.where(x == y, 0.0, y - x)
     b = p.value + d / (2.0 * p.value)
-    with np.errstate(over="ignore"):
-        out = np.asarray(hr_cdf(p, x, y)) * std_normal_cdf(b) * np.exp(-x)
-    return _maybe_scalar(out)
+    h = np.asarray(hr_cdf(p, x, y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = h * std_normal_cdf(b) * np.exp(-x)
+    return _maybe_scalar(np.where(h == 0.0, 0.0, out))
 
 
 def hr_copula(lam, u, v):

@@ -14,15 +14,14 @@ import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError
 from .evd_core import MixtureParams, _special, gumbel_cdf, hr_cdf
 from .gauss_arrays import (
-    _PAIRS, ArrayModel, ExplicitModel, StrongFactorModel, WeakAR1Model, _ar1_path, _by_size,
-    _explicit_factor, _fill, _lfilter, _pair,
+    _PAIRS, ArrayModel, StrongFactorModel, WeakAR1Model, _ar1_path, _by_size, _fill, _pair,
 )
 from .norming import norming_constants
 from .seeding import SeedLineage, as_lineage
@@ -168,11 +167,9 @@ def _all_extremes(model, n, lineage, total, workers):
     # chunks follow ``workers`` so results do not depend on the machine; the
     # pool, which forks all its processes at the first submit, is capped
     per = math.ceil(total / workers)
-    # build once here what forked workers would otherwise each build
-    if isinstance(model, WeakAR1Model) and model.phi != 0.0:
-        _lfilter()
-    elif isinstance(model, ExplicitModel):
-        _explicit_factor(model, n)
+    # one row of zeros builds here what forked workers would otherwise each
+    # build: the filter's import, an explicit model's factor
+    model._rows(np.zeros((1, *model._layout(n))), [n])
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         futures = [pool.submit(_extremes, model, lineage, range(lo, min(lo + per, total)),
                                np.full(min(per, total - lo), n))
@@ -237,14 +234,19 @@ def sup_distance(emp: EmpiricalLaw2D, theory) -> float:
 QUAD_MAX_NODES = 1024  # the 2-d rule holds nodes^2 arrays: about 81 MB at the cap
 
 
+def _quad_nodes(nodes) -> int:
+    """``nodes`` as an int; a node count outside [8, QUAD_MAX_NODES] is refused."""
+    nodes = int(nodes)
+    if not 8 <= nodes <= QUAD_MAX_NODES:
+        raise DomainError(f"quadrature nodes must lie in [8, {QUAD_MAX_NODES}], got {nodes}")
+    return nodes
+
+
 @functools.lru_cache(maxsize=8)
 def _hermgauss(nodes):
     """The Gauss-Hermite rule (nodes, weights), solved once per node count and
     shared read-only."""
-    nodes = int(nodes)
-    if not 8 <= nodes <= QUAD_MAX_NODES:
-        raise DomainError(f"quadrature nodes must lie in [8, {QUAD_MAX_NODES}], got {nodes}")
-    rule = _special().roots_hermite(nodes)
+    rule = _special().roots_hermite(_quad_nodes(nodes))
     for a in rule:
         a.flags.writeable = False
     return rule
@@ -652,9 +654,7 @@ def aslt_bound_rate(model: ArrayModel, cross_row: Coupling, epsilon: float,
         raise DomainError("n_grid entries must be >= 16 so that ln ln n > 1")
     x, y = _thresholds(x, y)
 
-    omega_rule = f"omega_n = min(|u_n({x:g})|, |u_n({y:g})|)"
-    within_vals = tuple(_weak_sum(model, n, _omega(n, x, y), "L1") for n in n_grid)
-    within = BoundSeries(n_grid=n_grid, values=within_vals, kind="rate", omega_rule=omega_rule)
+    within = replace(comparison_bound_series(model, "L1", x, y, n_grid), kind="rate")
 
     if cross_row.kind == "shared":
         if not isinstance(model, WeakAR1Model):
@@ -664,10 +664,11 @@ def aslt_bound_rate(model: ArrayModel, cross_row: Coupling, epsilon: float,
         )
     else:
         cross_vals = tuple(0.0 for _ in n_grid)
-    cross = BoundSeries(n_grid=n_grid, values=cross_vals, kind="cross_rate", omega_rule=omega_rule)
+    cross = BoundSeries(n_grid=n_grid, values=cross_vals, kind="cross_rate",
+                        omega_rule=within.omega_rule)
 
     rate = tuple(math.log(math.log(n)) ** (1.0 + epsilon) for n in n_grid)
-    ratios = tuple(v * r for v, r in zip(within_vals, rate))
+    ratios = tuple(v * r for v, r in zip(within.values, rate))
     first_half = ratios[: (len(ratios) + 1) // 2]
     bounded = max(ratios) <= max(first_half) + 1e-300
     return AsltRateReport(within_row=within, cross_row=cross, epsilon=epsilon,

@@ -141,10 +141,6 @@ class WeakAR1Model(_RowSizeRule):
         """Smallest valid row size: rho_0(n) >= -1 exactly when ln n >= lam^2/2."""
         return _first_size(0.0 if math.isinf(self.lam) else self.lam * self.lam / 2.0)
 
-    def lag_corr(self, i, j, k, n):
-        base = self.phi**k
-        return base if i == j else self.rho0(n) * base
-
     def lag_corr_array(self, i, j, lags, n):
         # pow costs about 70 ns a lag once phi^k underflows to a signed zero
         # (|phi|^k < 2^-1075), so it runs only where |phi|^k >= 2^-1100: 25
@@ -207,12 +203,9 @@ class StrongFactorModel(_RowSizeRule):
         above_taus = math.nextafter(max(mp.tau11, mp.tau22), math.inf)
         return _first_size(max(above_taus, lam2 / 2.0, 0.5 * (lam2 + mp.tau12 + g) * span))
 
-    def lag_corr(self, i, j, k, n):
-        t11, t22, t12 = self.taus(n)
-        return {(1, 1): t11, (2, 2): t22}.get((i, j), t12)
-
     def lag_corr_array(self, i, j, lags, n):
-        return np.full(np.shape(lags), self.lag_corr(i, j, 1, n))
+        t11, t22, t12 = self.taus(n)
+        return np.full(np.shape(lags), {(1, 1): t11, (2, 2): t22}.get((i, j), t12))
 
     def _layout(self, n):
         # drawn in this order: the factor pair (2,), then the (2, n) residuals
@@ -252,9 +245,6 @@ class ExplicitModel(_RowSizeRule):
 
     def min_n(self) -> int:
         return 2
-
-    def lag_corr(self, i, j, k, n):
-        return float(self.rho_fn(i, j, k, n))
 
     def lag_corr_array(self, i, j, lags, n):
         return np.array([self.rho_fn(i, j, int(k), n) for k in np.asarray(lags).ravel()])
@@ -338,7 +328,7 @@ def induced_correlation(model: ArrayModel, i: int, j: int, k: int, n: int) -> fl
         raise DomainError(f"lag must satisfy 0 <= k < n, got k={k}, n={n}")
     if k == 0:
         return 1.0 if i == j else model.rho0(int(n))
-    return float(model.lag_corr(i, j, k, int(n)))
+    return float(model.lag_corr_array(i, j, [k], int(n))[0])
 
 
 def row_extremes(row: RowSample) -> tuple[float, float, float, float]:

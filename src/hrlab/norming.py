@@ -37,11 +37,6 @@ def norming_constants(n: int) -> Norming:
     return Norming(n=n, a=1.0 / r, b=r - math.log(4.0 * math.pi * math.log(n)) / (2.0 * r))
 
 
-def u_n(nm: Norming, s):
-    """Evaluate u_n(s) for a Norming record."""
-    return nm.u(s)
-
-
 def rho0_from_lambda(lam, n: int) -> float:
     """Within-pair correlation rho_0(n) = 1 - lam^2 / ln(n) of row n.
 

@@ -84,6 +84,26 @@ class TestHrEval:
         assert report["passed"] is None
         assert len(report["table"]) == 9
 
+    @pytest.mark.parametrize("grid, code", [("-709:-700:2", 0), ("-709.1:0:3", 2),
+                                            ("-800:0:2", 2), ("-1000:-800:2", 2)])
+    def test_json_report_is_strict_json(self, capsys, grid, code):
+        # exp(-x) + exp(-y) stays finite down to x = y = -709.09; below that the
+        # exponent would be written as Infinity or NaN, so the grid is refused
+        got, out, err = run_cli(
+            capsys, "hr-eval", "--lambda", "1", "--grid", grid, "--format", "json"
+        )
+        assert got == code
+        if code == 0:
+            report = json.loads(out, parse_constant=_reject_constant)
+            assert all(math.isfinite(row["exponent"]) for row in report["table"])
+        else:
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
 
 class TestRunConfig:
     @pytest.mark.parametrize(
@@ -227,11 +247,20 @@ class TestVerifyCommands:
              "--points", ";".join(["0,0"] * 101)),
             ("verify", "strong", "--lambda", "1", "--tau", "1,1,0.8", "--n", "200",
              "--reps", "100", "--grid", "0:1", "--nodes", "1025"),
+            ("verify", "strong", "--lambda", "1", "--tau", "1,1,0.8", "--n", "200",
+             "--reps", "100", "--grid", "0:1", "--nodes", "7"),
+            ("verify", "strong", "--lambda", "1", "--tau", "1,1,0.8", "--n", "200",
+             "--reps", "100", "--grid", "0:1", "--nodes", "2000"),
         ],
         ids=["nodes-0", "seeds-0", "seeds-1", "workers-0", "workers-negative",
-             "aslt-lambda-40", "points-101", "nodes-1025"],
+             "aslt-lambda-40", "points-101", "nodes-1025", "nodes-7", "nodes-2000"],
     )
-    def test_out_of_range_count_is_exit_2(self, capsys, args):
+    def test_out_of_range_count_is_exit_2(self, capsys, monkeypatch, args):
+        # refused before any row is drawn
+        def no_draws(self):
+            raise AssertionError("a row was drawn")
+
+        monkeypatch.setattr(H.SeedLineage, "generator", no_draws)
         code, out, err = run_cli(capsys, *args)
         assert code == 2
         assert out == ""

@@ -160,6 +160,16 @@ class TestHrExponent:
         assert v <= math.exp(-x) + math.exp(-y) + 1e-12
         assert H.hr_cdf(lam, x, y) == pytest.approx(math.exp(-v), rel=1e-12)
 
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    def test_far_lower_tail_is_inf_not_nan(self, lam):
+        # e^1000 and e^800 overflow while Phi(lam - 100/lam) underflows to 0
+        for x, y in ((-1000.0, -800.0), (-800.0, -1000.0)):
+            assert H.hr_exponent(lam, x, y) == math.inf
+            assert H.hr_cdf(lam, x, y) == 0.0
+        # only the overflowing cell changes: a finite one is the scalar value
+        v = H.hr_exponent(lam, np.array([-1000.0, 0.5]), np.array([-800.0, 1.5]))
+        assert v[0] == math.inf and v[1] == H.hr_exponent(lam, 0.5, 1.5)
+
 
 class TestHrCdfDx:
     @pytest.mark.parametrize("lam", [0.3, 1.0, 3.0])
@@ -175,6 +185,11 @@ class TestHrCdfDx:
         x = 0.7
         got = H.hr_cdf_dx(2.0, x, math.inf)
         assert got == pytest.approx(H.gumbel_cdf(x) * math.exp(-x), rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    def test_zero_where_the_cdf_is_zero(self, lam):
+        for x, y in ((-1000.0, -800.0), (-800.0, -1000.0), (-1000.0, math.inf)):
+            assert H.hr_cdf_dx(lam, x, y) == 0.0
 
     def test_edge_branches_rejected(self):
         with pytest.raises(DomainError):

@@ -24,7 +24,7 @@ def _weak_mirror_explicit(lam=1.0, phi=0.5):
         return wm.rho0(n)
 
     def rho_fn(i, j, k, n):
-        return wm.lag_corr(i, j, k, n)
+        return wm.lag_corr_array(i, j, [k], n)[0]
 
     return wm, H.ExplicitModel(rho0_fn, rho_fn, label="weak-mirror")
 

@@ -73,8 +73,10 @@ def test_filter_is_loaded_in_the_parent_before_the_pool_forks():
 
 
 def test_strong_model_pool_never_loads_the_filter():
-    model = "H.StrongFactorModel(H.MixtureParams(1.0, 1.0, 0.8, 1.0))"
-    assert "scipy.signal" not in _loaded_after(_POOL_RUN.format(model=model))
+    # nor does an iid pool (phi = 0), whose rows need no filter either
+    for model in ("H.StrongFactorModel(H.MixtureParams(1.0, 1.0, 0.8, 1.0))",
+                  "H.WeakAR1Model(1.0, 0.0)"):
+        assert "scipy.signal" not in _loaded_after(_POOL_RUN.format(model=model)), model
 
 
 def test_explicit_factor_is_built_in_the_parent_before_the_pool_forks():

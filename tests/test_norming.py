@@ -54,20 +54,20 @@ class TestNormingConstants:
 class TestAffineMap:
     def test_at_zero(self):
         nm = H.norming_constants(123)
-        assert H.u_n(nm, 0.0) == nm.b
+        assert nm.u(0.0) == nm.b
 
     def test_unit_step(self):
         nm = H.norming_constants(100)
-        assert H.u_n(nm, 1.0) == nm.a * 1.0 + nm.b
+        assert nm.u(1.0) == nm.a * 1.0 + nm.b
 
     def test_inversion(self):
         nm = H.norming_constants(100)
-        assert H.u_n(nm, -nm.b / nm.a) == pytest.approx(0.0, abs=1e-12)
+        assert nm.u(-nm.b / nm.a) == pytest.approx(0.0, abs=1e-12)
 
     def test_broadcasts(self):
         nm = H.norming_constants(50)
         s = np.array([-1.0, 0.0, 2.0])
-        assert np.array_equal(H.u_n(nm, s), nm.a * s + nm.b)
+        assert np.array_equal(nm.u(s), nm.a * s + nm.b)
 
 
 class TestCalibration:
