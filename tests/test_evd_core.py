@@ -1,5 +1,6 @@
 """Exactness, structure and sampling of the bivariate Husler-Reiss law."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -241,6 +242,16 @@ class TestHrSample:
         a = H.hr_sample(1.5, 64, 9)
         b = H.hr_sample(1.5, 64, 9)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("lam, key, digest", [
+        (0.5, 5, "62c5dbe50375583d570c703bce7969d42e8fa7d8fc9e4110bda1b5ceccb36da0"),
+        (2.0, 20, "efbb9d9fc607ddb78f64c9dad3dfdd3143d493ab571c877d51ee752fac333f73"),
+    ])
+    def test_draw_bytes_are_pinned(self, lam, key, digest):
+        # the benchmark's two draws (seed 0, stream 10 lam); bench/golden.json
+        # pins the same digests
+        pts = H.hr_sample(lam, 50000, H.SeedLineage(0).child(key))
+        assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
 
     def test_count_validation(self):
         with pytest.raises(DomainError):

@@ -42,6 +42,10 @@ CASES = {
     # lags past about 1100 give signed zeros without pow, -0.0 at odd lags
     "bounds-L1-cut": ("verify", "bounds", "--kind", "L1", "--lambda", "1", "--phi", "-0.5",
                       "--ngrid", "1e3,1e4,2e5"),
+    # n - 1 = 2^20 lags fill one sum chunk exactly; 2.1e6 spans three chunks,
+    # the last of 2847 lags, so the bytes pin every uneven split of the tree
+    "bounds-L1-2M": ("verify", "bounds", "--kind", "L1", "--lambda", "1", "--phi", "-0.9",
+                     "--ngrid", "1e3,1048577,2.1e6"),
 }
 
 # (case, format) -> (exit code, SHA-256 of the report bytes)
@@ -70,6 +74,8 @@ GOLDEN = {
     ("bounds-rate-xy", "csv"): (0, "4b8474773913f8893a938eb6cf3fbefc6563728b0d42f79ce1ea6d8648a9ebbd"),
     ("bounds-L1-cut", "json"): (0, "cf1b3f804d55bf2ee11f91108da8922915810da8f644f81f408163219fe1c8dd"),
     ("bounds-L1-cut", "csv"): (0, "09ba4c86939d2449352280f4085aefae98543f4765730c3917f4286605575d92"),
+    ("bounds-L1-2M", "json"): (1, "a649d8764f2e1a1ec820f0521055cf5d45420cedf29bfb752285e929d9425de7"),
+    ("bounds-L1-2M", "csv"): (1, "934ce22104097233d180a80677ffacba1327919962ea3618207c1c5c2c08f259"),
 }
 
 
