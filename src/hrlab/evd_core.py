@@ -119,10 +119,12 @@ def _special():
     return special
 
 
-def std_normal_cdf(z):
-    """Standard Gaussian CDF, evaluated through erfc for tail accuracy."""
-    out = 0.5 * _special().erfc(np.negative(z) / _SQRT2)
-    return _maybe_scalar(out)
+def std_normal_cdf(z, out=None):
+    """Standard Gaussian CDF, evaluated through erfc for tail accuracy.  Given
+    ``out``, an array of z's shape (it may be z), every step writes there."""
+    t = np.divide(np.negative(z, out=out), _SQRT2, out=out)
+    t = _special().erfc(t, out=out)
+    return _maybe_scalar(np.multiply(0.5, t, out=out))
 
 
 def gumbel_cdf(x):
@@ -228,18 +230,26 @@ def hr_copula(lam, u, v):
     return _maybe_scalar(out)
 
 
-def _cond_cdf(lam, x, y, ex):
+def _cond_cdf(lam, x, y, ex, out=None, work=None):
     # P(Y <= y | X = x) = dH/dx(x, y) / dH/dx(x, +inf)
     #                   = exp(e^-x - V(x, y)) * Phi(lam + (y-x)/(2 lam)),
     # with ex = e^-x.  V is hr_exponent's finite branch in its operation order:
     # its Phi(lam - (x-y)/(2 lam)) is the same float as Phi(b), since
-    # x - y == -(y - x) exactly
-    d = np.where(x == y, 0.0, y - x)
-    q = d / (2.0 * lam)
-    phi_b = std_normal_cdf(lam + q)
+    # x - y == -(y - x) exactly.  The steps run in the four rows of ``work``
+    # and the result goes to ``out``; both are allocated when not given
+    if work is None:
+        work = np.empty((4, *np.broadcast_shapes(np.shape(x), np.shape(y))))
+    q, phi_b, v, e = work
+    np.subtract(y, x, out=q)
+    np.copyto(q, 0.0, where=np.equal(x, y))
+    q /= 2.0 * lam
+    std_normal_cdf(np.add(lam, q, out=phi_b), out=phi_b)
     with np.errstate(over="ignore"):
-        v = std_normal_cdf(lam - q) * np.exp(-y) + phi_b * ex
-        return np.exp(ex - v) * phi_b
+        std_normal_cdf(np.subtract(lam, q, out=v), out=v)
+        v *= np.exp(np.negative(y, out=e), out=e)
+        v += np.multiply(phi_b, ex, out=e)
+        np.exp(np.subtract(ex, v, out=e), out=e)
+        return np.multiply(e, phi_b, out=out)
 
 
 _UNIT_LO = 2.0**-53
@@ -252,43 +262,48 @@ def _conditional_quantile(lam, x, q):
     """Solve the conditional CDF given X=x for each target level q.
 
     Bracketed bisection; the conditional CDF is continuous and strictly
-    increasing in y, so failure to bracket indicates a bug and raises.
+    increasing in y, so failure to bracket indicates a bug and raises.  The
+    bounds, midpoints, CDF values, flags and ``_cond_cdf``'s work rows live in
+    buffers allocated once per solve.
     """
-    gq = gumbel_quantile(q)
     ex = np.exp(-x)  # x >= -ln(53 ln 2): no overflow
     pad = 2.0 * lam * lam + 2.0
-    lo = np.minimum(x, gq) - pad
-    hi = np.maximum(x, gq) + pad
+    gq = gumbel_quantile(q)
+    lo = np.minimum(x, gq)
+    lo -= pad
+    hi = np.maximum(x, gq, out=gq)
+    hi += pad
+    mid, cdf = np.empty((2, x.size))
+    work = np.empty((4, x.size))
+    flag = np.empty(x.size, dtype=bool)
 
     step = 1.0
     for _ in range(_BRACKET_STEPS):
-        bad = _cond_cdf(lam, x, lo, ex) > q
-        if not bad.any():
+        if not np.greater(_cond_cdf(lam, x, lo, ex, cdf, work), q, out=flag).any():
             break
-        lo = np.where(bad, lo - step, lo)
+        np.subtract(lo, step, out=lo, where=flag)
         step *= 2.0
     else:
         raise RuntimeError("failed to bracket conditional quantile from below")
     step = 1.0
     for _ in range(_BRACKET_STEPS):
-        bad = _cond_cdf(lam, x, hi, ex) < q
-        if not bad.any():
+        if not np.less(_cond_cdf(lam, x, hi, ex, cdf, work), q, out=flag).any():
             break
-        hi = np.where(bad, hi + step, hi)
+        np.add(hi, step, out=hi, where=flag)
         step *= 2.0
     else:
         raise RuntimeError("failed to bracket conditional quantile from above")
 
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        below = _cond_cdf(lam, x, mid, ex) <= q
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(hi - lo) <= _QUANTILE_TOL:
+        np.multiply(0.5, np.add(lo, hi, out=mid), out=mid)
+        np.less_equal(_cond_cdf(lam, x, mid, ex, cdf, work), q, out=flag)
+        np.copyto(lo, mid, where=flag)
+        np.copyto(hi, mid, where=np.logical_not(flag, out=flag))
+        if np.subtract(hi, lo, out=mid).max() <= _QUANTILE_TOL:
             break
     else:
         raise RuntimeError("conditional quantile bisection did not converge")
-    return 0.5 * (lo + hi)
+    return np.multiply(0.5, np.add(lo, hi, out=mid), out=mid)
 
 
 def hr_sample(lam, count, seed):

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import DomainError
 from .evd_core import MixtureParams, _special, gumbel_cdf, hr_cdf
 from .gauss_arrays import (
-    _PAIRS, ArrayModel, StrongFactorModel, WeakAR1Model, _ar1_path, _by_size, _fill, _pair,
+    _BLOCK_BYTES, _PAIRS, ArrayModel, StrongFactorModel, WeakAR1Model, _ar1_path, _by_size,
+    _fill, _pair,
 )
 from .norming import norming_constants
 from .seeding import SeedLineage, as_lineage
@@ -67,9 +68,6 @@ def _as_axis(values, name):
 
 
 _BLOCK = 1024  # child streams hashed per ``SeedLineage.children`` call
-# drawn variates per row block: short rows batch, rows above half of it go one
-# at a time and stay in cache from draw to reduction
-_BLOCK_BYTES = 1 << 18
 
 
 def _streams(lineage, keys):
@@ -85,7 +83,8 @@ def _width(model, n):
 def _block(model, sizes, lo):
     """The end of the block of rows from ``lo``: as many rows as fit in
     ``_BLOCK_BYTES`` when padded to the last, largest, size among them, and
-    at least one."""
+    at least one.  Short rows batch; a row above half of it goes alone and
+    stays in cache from draw to reduction."""
     cap = _BLOCK_BYTES // 8
     part = sizes[lo : lo + max(1, cap // _width(model, sizes[lo]))]
     if part[-1] != part[0]:  # growing sizes: the rows whose padded block fits
@@ -503,34 +502,53 @@ def _omega(n, x, y):
 _SUM_CHUNK = 1 << 20
 
 
+def _pairwise(leaf_sum, lo, count):
+    """np.sum of the ``count`` terms from index ``lo``, given the sums
+    ``leaf_sum(lo, count)`` of leaves of at most ``_BLOCK_BYTES // 8`` terms.
+
+    numpy sums an array pairwise: a node of more than 128 terms splits at
+    count // 2 - (count // 2) % 8 and adds the sums of its halves.  This is
+    that tree cut off at leaves of 128 terms or more, which numpy's own sum
+    of the leaf gives, so the result is the float of one np.sum."""
+    if count <= _BLOCK_BYTES // 8:
+        return leaf_sum(lo, count)
+    half = count // 2 - (count // 2) % 8
+    return _pairwise(leaf_sum, lo, half) + _pairwise(leaf_sum, lo + half, count - half)
+
+
 def _weak_sum(model, n, omega, kind, taus=None):
     """n * sum_k |rho(k,n) [- tau(n)]| exp(-omega^2 / (1 + scale)), max over pairs.
 
-    Each chunk is worked in place, in a weight and a term buffer, by the
-    operations of weight * exp(-w2 / (1.0 + scale)) in their order, so its sum
-    is the float that expression gives."""
+    Each chunk of ``_SUM_CHUNK`` lags is summed as by one np.sum over its
+    terms, from leaves of 256 KB of lags (``_pairwise``).  A leaf works its
+    terms by the operations of weight * exp(-w2 / (1.0 + scale)) in their
+    order.  A leaf whose weights are all zero sums to 0.0 without ``exp``: its
+    terms are +0.0 times a factor in [0, 1]."""
     out = 0.0
     w2 = omega * omega
     for pair_idx, (i, j) in enumerate(_PAIRS):
-        total = 0.0
-        for lo in range(1, n, _SUM_CHUNK):
-            lags = np.arange(lo, min(lo + _SUM_CHUNK, n), dtype=float)
+        tau_n = taus[pair_idx] / math.log(n) if kind == "L2" else None
+
+        def leaf_sum(lo, count):
+            lags = np.arange(lo, lo + count, dtype=float)
             rho = np.asarray(model.lag_corr_array(i, j, lags, n), dtype=float)
-            np.abs(rho, out=rho)
+            weight = np.abs(rho, out=rho)
             if kind == "L2":
-                tau_n = taus[pair_idx] / math.log(n)
                 weight = np.asarray(model.lag_corr_array(i, j, lags, n), dtype=float)
                 np.subtract(weight, tau_n, out=weight)
                 np.abs(weight, out=weight)
-                term = np.maximum(rho, tau_n, out=rho)  # the scale
-                np.add(1.0, term, out=term)
-            else:
-                weight = rho
-                term = np.add(1.0, rho)
+                np.maximum(rho, tau_n, out=rho)  # the scale
+            if not weight.any():
+                return 0.0
+            term = np.add(1.0, rho)
             np.divide(-w2, term, out=term)
             np.exp(term, out=term)
             term *= weight
-            total += float(np.sum(term))
+            return np.sum(term)
+
+        total = 0.0
+        for lo in range(1, n, _SUM_CHUNK):
+            total += float(_pairwise(leaf_sum, lo, min(_SUM_CHUNK, n - lo)))
         out = max(out, n * total)
     return out
 

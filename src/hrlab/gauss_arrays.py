@@ -37,6 +37,10 @@ from .seeding import SeedLineage, as_lineage
 
 _PAIRS = ((1, 1), (1, 2), (2, 2))
 
+# bytes of float64 work per block: the drawn variates of a block of rows, and
+# the lags of one leaf of a correlation scan or bound sum
+_BLOCK_BYTES = 1 << 18
+
 EXPLICIT_MAX_N = 4000  # dense 2n x 2n correlation matrix and Cholesky ceiling
 
 
@@ -363,12 +367,13 @@ class AssumptionReport:
     decaying: bool
 
 
-def _scan_abs_corr(model, n):
-    lags = np.arange(1, n)
-    worst = 0.0
-    for i, j in _PAIRS:
-        worst = max(worst, float(np.max(np.abs(model.lag_corr_array(i, j, lags, n)))))
-    return worst
+def _lag_max(fn, lo, hi):
+    """np.max of ``fn(lags)`` over the lags lo..hi-1, taken in leaves of
+    ``_BLOCK_BYTES`` of lags: a max is exact in any order, and a NaN in any
+    leaf gives NaN, as in one array."""
+    step = _BLOCK_BYTES // 8
+    leaves = (np.arange(a, min(a + step, hi)) for a in range(lo, hi, step))
+    return float(np.max([np.max(fn(lags)) for lags in leaves]))
 
 
 def validate_assumption(model: ArrayModel, which: str, n_grid, alpha: float,
@@ -388,7 +393,24 @@ def validate_assumption(model: ArrayModel, which: str, n_grid, alpha: float,
     for n in n_grid:
         model.validate_n(n)
 
-    bound = _scan_abs_corr(model, max(n_grid))
+    def deviation(kind, i, j, n, lags):
+        rho = np.asarray(model.lag_corr_array(i, j, lags, n), dtype=float)
+        if kind == "A1":
+            return np.abs(rho)
+        # ln(k) * |rho - tau/ln(k)| == |rho ln(k) - tau| in exact arithmetic;
+        # this form keeps the cancellation exact when the model's
+        # correlations are themselves defined as tau / ln(k)
+        logs = np.log(lags.astype(float))
+        return logs * np.abs(rho - tau_by_pair[i, j] / logs)
+
+    def scan(kind, n, cut, scale=1.0):
+        """The max over pairs of scale * max_{cut <= k < n} of the deviation."""
+        stat = 0.0
+        for i, j in _PAIRS:
+            stat = max(stat, _lag_max(lambda lags: deviation(kind, i, j, n, lags), cut, n) * scale)
+        return stat
+
+    bound = scan("A1", max(n_grid), 1)
     if bound >= 1.0:
         raise DomainError(f"lag correlations must stay below 1, scan found {bound}")
     admissible = (1.0 - bound) / (1.0 + bound)
@@ -407,24 +429,9 @@ def validate_assumption(model: ArrayModel, which: str, n_grid, alpha: float,
                 raise DomainError("A2 needs tau=(tau11, tau12, tau22) for this model")
         tau_by_pair = {(1, 1): float(tau[0]), (1, 2): float(tau[1]), (2, 2): float(tau[2])}
 
-    cutoffs, stats = [], []
-    for n in n_grid:
-        cut = max(1, int(math.floor(n**alpha)))
-        lags = np.arange(cut, n)
-        stat = 0.0
-        for i, j in _PAIRS:
-            rho = np.asarray(model.lag_corr_array(i, j, lags, n), dtype=float)
-            if which == "A1":
-                stat = max(stat, float(np.max(np.abs(rho))) * math.log(n))
-            else:
-                # ln(k) * |rho - tau/ln(k)| == |rho ln(k) - tau| in exact
-                # arithmetic; this form keeps the cancellation exact when the
-                # model's correlations are themselves defined as tau / ln(k)
-                logs = np.log(lags.astype(float))
-                dev = logs * np.abs(rho - tau_by_pair[i, j] / logs)
-                stat = max(stat, float(np.max(dev)))
-        cutoffs.append(cut)
-        stats.append(stat)
+    cutoffs = tuple(max(1, int(math.floor(n**alpha))) for n in n_grid)
+    stats = tuple(scan(which, n, cut, math.log(n) if which == "A1" else 1.0)
+                  for n, cut in zip(n_grid, cutoffs))
 
     decaying = len(stats) >= 3 and stats[-3] > stats[-2] > stats[-1]
     return AssumptionReport(
@@ -432,7 +439,7 @@ def validate_assumption(model: ArrayModel, which: str, n_grid, alpha: float,
         n_grid=n_grid,
         sigma_or_delta=bound,
         alpha_or_varpi=alpha,
-        cutoff=tuple(cutoffs),
-        statistic=tuple(stats),
+        cutoff=cutoffs,
+        statistic=stats,
         decaying=decaying,
     )

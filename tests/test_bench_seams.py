@@ -92,3 +92,21 @@ def test_traced_counts_of_an_aslt_path(tracing):
     assert t.calls["seeding.generator"] == t.counts["rows"] == t.counts["aslt_rows"] == len(sizes)
     assert t.counts["normals"] == sum(2 * (k + 1) for k in sizes)
     assert t.calls["norming.norming_constants"] == len(sizes)  # one per row size
+
+
+def test_traced_counts_of_bound_sums_and_draws(tracing):
+    # leaves call lag_corr_array on their own lags: the counts must not
+    # depend on how a sum is cut up, nor the bisection's calls on its buffers
+    weak = hrlab.WeakAR1Model(1.0, 0.5)
+    strong = hrlab.StrongFactorModel(hrlab.MixtureParams(1.0, 1.0, 0.8, 1.0))
+    grid = (10**3, 10**6)
+    t = _traced(tracing, lambda: (
+        experiments.comparison_bound_series(weak, "L1", 3, 3, grid),
+        experiments.comparison_bound_series(strong, "L2", 3, 3, grid),
+        hrlab.evd_core.hr_sample(0.5, 50000, hrlab.SeedLineage(0).child(5)),
+        hrlab.evd_core.hr_sample(2.0, 50000, hrlab.SeedLineage(0).child(20)),
+    ))
+    terms = sum(3 * (n - 1) for n in grid)  # 3 pairs, lags 1..n-1
+    assert t.counts["bound_terms"] == 2 * terms  # one L1 and one L2 series
+    assert t.counts["lagcorr_terms"] == terms + 2 * terms  # L2 reads them twice
+    assert t.calls["evd_core.cond_cdf"] == 81  # bench/golden.json pins the same count

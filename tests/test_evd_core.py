@@ -2,11 +2,13 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import special
 
 import hrlab as H
 from hrlab import evd_core
@@ -278,6 +280,35 @@ class TestHrSample:
                     * H.std_normal_cdf(lam + d / (2.0 * lam)))
             got = evd_core._cond_cdf(lam, x, y, np.exp(-x))
         assert got.tobytes() == want.tobytes()
+
+    @given(lam=st.floats(1e-3, 1e3), x=st.floats(-4.0, 40.0), y=st.floats(-800.0, 60.0))
+    def test_conditional_cdf_in_buffers_equals_the_allocating_expression(self, lam, x, y):
+        # elements: any y, y == x, and y = -800, where exp(-y) overflows
+        x, y = np.array([x, x, x]), np.array([y, x, -800.0])
+        ex = np.exp(-x)
+        d = np.where(x == y, 0.0, y - x)
+        q = d / (2.0 * lam)
+        phi = lambda z: 0.5 * special.erfc(np.negative(z) / math.sqrt(2.0))  # noqa: E731
+        with np.errstate(over="ignore"):
+            v = phi(lam - q) * np.exp(-y) + phi(lam + q) * ex
+            want = np.exp(ex - v) * phi(lam + q)
+        out, work = np.full(3, np.nan), np.full((4, 3), np.nan)
+        assert evd_core._cond_cdf(lam, x, y, ex, out, work) is out
+        assert out.tobytes() == want.tobytes()
+        assert evd_core._cond_cdf(lam, x, y, ex).tobytes() == want.tobytes()
+
+    def test_sampler_memory(self):
+        # bisection buffers are allocated once per solve; fresh 400 KB
+        # temporaries on every step peaked at 5.44 MB
+        run = lambda: H.hr_sample(2.0, 50000, H.SeedLineage(0).child(20))  # noqa: E731
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.8 * 2**20
 
     @pytest.mark.parametrize("lam", [0.5, 2.0])
     def test_marginals_are_gumbel(self, lam):

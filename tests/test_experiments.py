@@ -501,6 +501,93 @@ class TestBoundSeries:
             m, H.shared_innovations(0.3), 0.1, grid_, 1.0, 1.0).cross_row.values
 
 
+def _whole_chunk_sum(model, n, omega, kind, taus=None):
+    """The bound sum with each 2^20-lag chunk as one array and one np.sum."""
+    out = 0.0
+    for pair_idx, (i, j) in enumerate(((1, 1), (1, 2), (2, 2))):
+        total = 0.0
+        for lo in range(1, n, 1 << 20):
+            lags = np.arange(lo, min(lo + (1 << 20), n), dtype=float)
+            rho = np.abs(np.asarray(model.lag_corr_array(i, j, lags, n), dtype=float))
+            weight = scale = rho
+            if kind == "L2":
+                tau_n = taus[pair_idx] / math.log(n)
+                weight = np.abs(np.asarray(model.lag_corr_array(i, j, lags, n), dtype=float)
+                                - tau_n)
+                scale = np.maximum(rho, tau_n)
+            total += float(np.sum(weight * np.exp(-(omega * omega) / (1.0 + scale))))
+        out = max(out, n * total)
+    return out
+
+
+class TestBoundSumLeaves:
+    LENGTHS = [*range(1, 301), *(2**k + d for k in range(1, 22) for d in (-1, 1)), 999_999]
+    MIX = H.MixtureParams(1.0, 1.0, 0.8, 1.0)
+    EXPLICIT = H.ExplicitModel(lambda n: 0.4, lambda i, j, k, n: 0.9**k * (0.7 if i != j else 1.0))
+
+    @pytest.mark.parametrize("block_bytes", [1024, 1 << 18], ids=["leaf128", "leaf32768"])
+    def test_tree_equals_np_sum(self, monkeypatch, block_bytes):
+        # numpy's own pairwise tree holds for any leaf of 128 terms or more;
+        # a change to numpy's summation fails here before it moves a digest
+        monkeypatch.setattr(experiments, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(7)
+        for count in self.LENGTHS:
+            a = rng.standard_normal(count) * np.exp2(rng.integers(-400, 400, count))
+            got = experiments._pairwise(lambda lo, m: np.sum(a[lo : lo + m]), 0, count)
+            assert float(got).hex() == float(np.sum(a)).hex(), count
+
+    @pytest.mark.parametrize("model, kind, grid", [
+        (H.WeakAR1Model(1.0, 0.0), "L1", None),
+        (H.WeakAR1Model(1.0, 0.5), "L1", None),
+        (H.WeakAR1Model(1.0, -0.9), "L1", None),   # signed zeros past the pow cut
+        (H.WeakAR1Model(1.0, 0.999), "L1", None),
+        (H.WeakAR1Model(1.0, 0.9999), "L1", None),  # every leaf adds to the sum
+        (H.StrongFactorModel(MIX), "L1", None),
+        (H.StrongFactorModel(MIX), "L2", None),
+        (EXPLICIT, "L1", (2, 3, 33000)),
+    ], ids=["weak-phi0", "weak-phi0.5", "weak-phi-0.9", "weak-phi0.999", "weak-phi0.9999",
+            "strong-L1", "strong-L2", "explicit"])
+    def test_weak_sum_equals_the_whole_chunk_formula(self, model, kind, grid):
+        # 32769 lags is one leaf plus one lag; 999,999 lags split unevenly;
+        # 1048577 fills a chunk exactly; 2.1e6 spans three chunks
+        taus = (self.MIX.tau11, self.MIX.tau12, self.MIX.tau22)
+        for n in grid or (2, 3, 32769, 10**6, 1048577, 2_100_000):
+            for x, y in ((3.0, 3.0), (-1.0, 0.5)):
+                omega = experiments._omega(n, x, y)
+                got = experiments._weak_sum(model, n, omega, kind, taus)
+                assert float(got).hex() == _whole_chunk_sum(model, n, omega, kind, taus).hex()
+
+    @pytest.mark.parametrize("model, kind", [
+        (H.WeakAR1Model(1.0, 0.5), "L1"),
+        (H.StrongFactorModel(MIX), "L2"),
+    ], ids=["weak-L1", "strong-L2"])
+    def test_memory_does_not_grow_with_n(self, model, kind):
+        # a whole 2^20-lag chunk held 32 MB (L1) and 38 MB (L2) of temporaries
+        run = lambda: H.comparison_bound_series(model, kind, 3, 3, [10**6])  # noqa: E731
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+    def test_all_zero_leaves_skip_exp(self, monkeypatch):
+        # at phi = 0.5 every lag past about 1100 has rho = +0.0: only the
+        # first leaf of each pair reaches exp, not the 999,999 lags
+        sizes = []
+        real_exp = np.exp
+        monkeypatch.setattr(experiments.np, "exp",
+                            lambda a, **kw: sizes.append(np.size(a)) or real_exp(a, **kw))
+        model = H.WeakAR1Model(1.0, 0.5)
+        omega = experiments._omega(10**6, 3.0, 3.0)
+        got = experiments._weak_sum(model, 10**6, omega, "L1")
+        monkeypatch.undo()
+        assert len(sizes) == 3 and sum(sizes) <= 3 * experiments._BLOCK_BYTES // 8
+        assert got.hex() == _whole_chunk_sum(model, 10**6, omega, "L1").hex()
+
+
 class TestCrossRateBlocks:
     """``_cross_rate_value`` sums only the groups of rows whose bound can still
     reach the running max, in reused blocks of rows with one ``exp`` per

@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import hrlab as H
+from hrlab import gauss_arrays
 from hrlab.errors import DomainError, ModelError
 from hrlab.gauss_arrays import _explicit_factor
 
@@ -406,3 +408,49 @@ class TestAssumptionValidators:
     def test_a2_requires_taus(self):
         with pytest.raises(DomainError):
             H.validate_assumption(H.WeakAR1Model(1.0, 0.5), "A2", (100, 1000), 0.1)
+
+    @staticmethod
+    def _pair_maxes(model, which, n, cut, tau=None):
+        """Each pair's max over the lags cut..n-1, taken on one array."""
+        lags = np.arange(cut, n)
+        maxes = []
+        for i, j in ((1, 1), (1, 2), (2, 2)):
+            rho = np.asarray(model.lag_corr_array(i, j, lags, n), dtype=float)
+            if which == "A1":
+                maxes.append(float(np.max(np.abs(rho))))
+            else:
+                t = {(1, 1): tau[0], (1, 2): tau[1], (2, 2): tau[2]}[i, j]
+                logs = np.log(lags.astype(float))
+                maxes.append(float(np.max(logs * np.abs(rho - t / logs))))
+        return maxes
+
+    @pytest.mark.parametrize("model, which, grid", [
+        (H.WeakAR1Model(1.0, 0.5), "A1", (100, 1000, 10**4)),
+        (H.StrongFactorModel(H.MixtureParams(1.0, 1.0, 0.8, 1.0)), "A1", (1000, 10**4)),
+        (H.StrongFactorModel(H.MixtureParams(1.0, 1.0, 0.8, 1.0)), "A2", (1000, 10**4)),
+        # a NaN lag correlation drops its pair, as a NaN max of one array does
+        (H.ExplicitModel(lambda n: 0.3, lambda i, j, k, n: math.nan if (i, j, k) == (1, 2, 700)
+                         else 0.5**k * (0.8 if i != j else 1.0)), "A1", (1000, 3000)),
+    ], ids=["weak-A1", "strong-A1", "strong-A2", "explicit-nan-A1"])
+    def test_leaves_give_the_one_array_scan(self, monkeypatch, model, which, grid):
+        # 128-lag leaves: many leaves per pair, and the cutoff inside a leaf
+        monkeypatch.setattr(gauss_arrays, "_BLOCK_BYTES", 1024)
+        tau = (1.0, 0.8, 1.0)
+        rep = H.validate_assumption(model, which, grid, 0.3, tau=tau)
+        # max(0.0, a, b, c) keeps 0.0 or an earlier value against a NaN, as
+        # the validator's running max does
+        assert rep.sigma_or_delta == max(0.0, *self._pair_maxes(model, "A1", grid[-1], 1))
+        scale = math.log if which == "A1" else (lambda n: 1.0)
+        assert rep.statistic == tuple(
+            max(0.0, *(m * scale(n) for m in self._pair_maxes(model, which, n, cut, tau)))
+            for n, cut in zip(grid, rep.cutoff))
+
+    def test_scan_memory_does_not_grow_with_n(self):
+        # one array of 1e7 lags held several 80 MB vectors
+        tracemalloc.start()
+        try:
+            H.validate_assumption(H.WeakAR1Model(1.0, 0.5), "A1", (10**5, 10**6, 10**7), 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20

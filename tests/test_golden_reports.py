@@ -43,9 +43,13 @@ CASES = {
     "bounds-L1-cut": ("verify", "bounds", "--kind", "L1", "--lambda", "1", "--phi", "-0.5",
                       "--ngrid", "1e3,1e4,2e5"),
     # n - 1 = 2^20 lags fill one sum chunk exactly; 2.1e6 spans three chunks,
-    # the last of 2847 lags, so the bytes pin every uneven split of the tree
+    # the last of 2847 lags
     "bounds-L1-2M": ("verify", "bounds", "--kind", "L1", "--lambda", "1", "--phi", "-0.9",
                      "--ngrid", "1e3,1048577,2.1e6"),
+    # 0.9999^k decays slowly enough that every leaf of the uneven 999,999-lag
+    # chunk adds to the sum, so the bytes pin the tree's splits
+    "bounds-L1-tree": ("verify", "bounds", "--kind", "L1", "--lambda", "1", "--phi", "0.9999",
+                       "--ngrid", "1e3,1e6,2.1e6"),
 }
 
 # (case, format) -> (exit code, SHA-256 of the report bytes)
@@ -76,6 +80,8 @@ GOLDEN = {
     ("bounds-L1-cut", "csv"): (0, "09ba4c86939d2449352280f4085aefae98543f4765730c3917f4286605575d92"),
     ("bounds-L1-2M", "json"): (1, "a649d8764f2e1a1ec820f0521055cf5d45420cedf29bfb752285e929d9425de7"),
     ("bounds-L1-2M", "csv"): (1, "934ce22104097233d180a80677ffacba1327919962ea3618207c1c5c2c08f259"),
+    ("bounds-L1-tree", "json"): (1, "892cceb67e58c3e8994bdafdf58c3a41d5a3ff08246486c65846fdd8eb542799"),
+    ("bounds-L1-tree", "csv"): (1, "def2124a965830f16f619a03757517bbf561f6ad4ae57bd0223c7f28c8be6c76"),
 }
 
 
