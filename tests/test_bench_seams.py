@@ -95,8 +95,8 @@ def test_traced_counts_of_an_aslt_path(tracing):
 
 
 def test_traced_counts_of_bound_sums_and_draws(tracing):
-    # leaves call lag_corr_array on their own lags: the counts must not
-    # depend on how a sum is cut up, nor the bisection's calls on its buffers
+    # each leaf calls lag_corr_array on its own lags, and the bisection calls
+    # _cond_cdf on reused buffers: neither may move a traced count
     weak = hrlab.WeakAR1Model(1.0, 0.5)
     strong = hrlab.StrongFactorModel(hrlab.MixtureParams(1.0, 1.0, 0.8, 1.0))
     grid = (10**3, 10**6)
