@@ -19,6 +19,7 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -547,7 +548,10 @@ COMMANDS = (
 )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as
+    it was, and rebuilding it on every ``main`` call creeps the peak RSS."""
     parser = argparse.ArgumentParser(
         prog="hrlab",
         description="Bivariate Husler-Reiss laboratory: evaluation and limit-law verification.",

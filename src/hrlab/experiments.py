@@ -522,25 +522,29 @@ def _weak_sum(model, n, omega, kind, taus=None):
     Each chunk of ``_SUM_CHUNK`` lags is summed as by one np.sum over its
     terms, from leaves of 256 KB of lags (``_pairwise``).  A leaf works its
     terms by the operations of weight * exp(-w2 / (1.0 + scale)) in their
-    order.  A leaf whose weights are all zero sums to 0.0 without ``exp``: its
-    terms are +0.0 times a factor in [0, 1]."""
+    order, in four leaf buffers allocated once per call.  A leaf whose weights
+    are all zero sums to 0.0 without ``exp``: its terms are +0.0 times a
+    factor in [0, 1]."""
     out = 0.0
     w2 = omega * omega
+    step = _BLOCK_BYTES // 8
+    ramp = np.arange(step, dtype=float)
+    lag_buf, rho_buf, weight_buf, term_buf = np.empty((4, step))
     for pair_idx, (i, j) in enumerate(_PAIRS):
         tau_n = taus[pair_idx] / math.log(n) if kind == "L2" else None
 
         def leaf_sum(lo, count):
-            lags = np.arange(lo, lo + count, dtype=float)
-            rho = np.asarray(model.lag_corr_array(i, j, lags, n), dtype=float)
+            lags = np.add(ramp[:count], lo, out=lag_buf[:count])  # lo..lo+count-1, exact
+            rho = model.lag_corr_array(i, j, lags, n, out=rho_buf[:count])
             weight = np.abs(rho, out=rho)
             if kind == "L2":
-                weight = np.asarray(model.lag_corr_array(i, j, lags, n), dtype=float)
+                weight = model.lag_corr_array(i, j, lags, n, out=weight_buf[:count])
                 np.subtract(weight, tau_n, out=weight)
                 np.abs(weight, out=weight)
                 np.maximum(rho, tau_n, out=rho)  # the scale
             if not weight.any():
                 return 0.0
-            term = np.add(1.0, rho)
+            term = np.add(1.0, rho, out=term_buf[:count])
             np.divide(-w2, term, out=term)
             np.exp(term, out=term)
             term *= weight

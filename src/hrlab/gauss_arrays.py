@@ -19,11 +19,15 @@ one row's standard normals into ``out``, a row of the model's draw layout
 sizes do not decrease, into their (B, 2, m) values in one batch; row i is
 valid on its first ``sizes[i]`` columns.  ``sample_row`` is a block of one row.
 
-``scipy.signal`` (the AR(1) filter) and ``scipy.linalg`` (LAPACK's Cholesky)
-are loaded on first use, so importing the package does not pay for them.
+The AR(1) filter is scipy's compiled ``_linear_filter``, loaded on first use
+from its extension module alone: ``scipy.signal`` is never imported.
+``scipy.linalg`` (LAPACK's Cholesky) is loaded on first use.  So importing the
+package pays for neither.
 """
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -85,21 +89,39 @@ def _by_size(fn, sizes):
 
 @lru_cache(maxsize=None)
 def _lfilter():
-    """scipy's linear filter; ``scipy.signal`` is imported on the first call."""
-    from scipy.signal import lfilter
+    """scipy's compiled linear filter, ``_linear_filter`` of the extension
+    module ``scipy/signal/_sigtools``, loaded from its file on the first call.
+    Importing ``scipy.signal`` for it would cost about 76 MB and 1 s.  The
+    module is not left in ``sys.modules`` unless it was there before."""
+    import scipy
+    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+    from importlib.util import module_from_spec
 
-    return lfilter
+    finder = FileFinder(os.path.join(scipy.__path__[0], "signal"),
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.signal._sigtools")
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no compiled filter "
+                          "scipy/signal/_sigtools")
+    listed = spec.name in sys.modules
+    module = module_from_spec(spec)  # CPython lists a new single-phase module
+    spec.loader.exec_module(module)
+    if not listed:
+        del sys.modules[spec.name]
+    return module._linear_filter
 
 
 def _ar1_path(phi, start, innovations):
     """Stationary AR(1) paths along the last axis: x_k = phi x_{k-1} +
     sqrt(1-phi^2) eps_k, x_0 = start (one start per path).  With phi = 0 the
-    innovations are the paths and are returned as they are."""
+    innovations are the paths and are returned as they are.  The filter gets
+    the arguments ``scipy.signal.lfilter([1.0], [1.0, -phi], x, zi=zi)``
+    passes it, so the paths are lfilter's to the byte."""
     if phi == 0.0:
         return innovations
     scaled = math.sqrt(1.0 - phi * phi) * innovations
     zi = np.multiply(phi, start)[..., None]
-    return _lfilter()([1.0], [1.0, -phi], scaled, zi=zi)[0]
+    return _lfilter()(np.array([1.0]), np.array([1.0, -phi]), scaled, -1, zi)[0]
 
 
 def _first_size(ell):
@@ -145,7 +167,7 @@ class WeakAR1Model(_RowSizeRule):
         """Smallest valid row size: rho_0(n) >= -1 exactly when ln n >= lam^2/2."""
         return _first_size(0.0 if math.isinf(self.lam) else self.lam * self.lam / 2.0)
 
-    def lag_corr_array(self, i, j, lags, n):
+    def lag_corr_array(self, i, j, lags, n, out=None):
         # pow costs about 70 ns a lag once phi^k underflows to a signed zero
         # (|phi|^k < 2^-1075), so it runs only where |phi|^k >= 2^-1100: 25
         # binades of margin cover any rounding of the cut.  Past the cut the
@@ -154,7 +176,8 @@ class WeakAR1Model(_RowSizeRule):
         k = np.asarray(lags, dtype=float)
         phi = self.phi
         far = k > (1100.0 / -math.log2(abs(phi)) if phi else 0.0)
-        base = np.zeros(k.shape)
+        base = np.empty(k.shape) if out is None else out
+        base.fill(0.0)
         if math.copysign(1.0, phi) < 0.0:
             far &= k == np.floor(k)
             np.negative(base, out=base, where=far & (np.floor(0.5 * k) != 0.5 * k))
@@ -207,9 +230,11 @@ class StrongFactorModel(_RowSizeRule):
         above_taus = math.nextafter(max(mp.tau11, mp.tau22), math.inf)
         return _first_size(max(above_taus, lam2 / 2.0, 0.5 * (lam2 + mp.tau12 + g) * span))
 
-    def lag_corr_array(self, i, j, lags, n):
+    def lag_corr_array(self, i, j, lags, n, out=None):
         t11, t22, t12 = self.taus(n)
-        return np.full(np.shape(lags), {(1, 1): t11, (2, 2): t22}.get((i, j), t12))
+        out = np.empty(np.shape(lags)) if out is None else out
+        out.fill({(1, 1): t11, (2, 2): t22}.get((i, j), t12))
+        return out
 
     def _layout(self, n):
         # drawn in this order: the factor pair (2,), then the (2, n) residuals
@@ -250,8 +275,12 @@ class ExplicitModel(_RowSizeRule):
     def min_n(self) -> int:
         return 2
 
-    def lag_corr_array(self, i, j, lags, n):
-        return np.array([self.rho_fn(i, j, int(k), n) for k in np.asarray(lags).ravel()])
+    def lag_corr_array(self, i, j, lags, n, out=None):
+        values = [self.rho_fn(i, j, int(k), n) for k in np.asarray(lags).ravel()]
+        if out is None:
+            return np.array(values)
+        out[...] = values
+        return out
 
     def correlation_matrix(self, n: int) -> np.ndarray:
         """Interleaved 2n x 2n correlation matrix (index 2k+i-1 is X_k^(i)).

@@ -365,6 +365,17 @@ class TestDeterminism:
             outs.append(path.read_bytes())
         assert outs[0] != outs[1]
 
+    def test_repeated_calls_build_one_parser_and_the_same_bytes(self, capsys):
+        cli.build_parser.cache_clear()
+        args = ("verify", "bounds", "--kind", "L2", "--lambda", "1", "--tau", "1,1,0.8",
+                "--ngrid", "1e3,1e4")
+        runs = []
+        for _ in range(3):
+            runs.append(run_cli(capsys, *args))
+            assert run_cli(capsys, *args, "--kind", "L3")[0] == 2  # a usage error between
+        assert runs[0][0] == 0 and runs == [runs[0]] * 3
+        assert cli.build_parser.cache_info().misses == 1
+
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("HREXT_SEED", "77")
         _, out, _ = run_cli(capsys, "hr-eval", "--lambda", "1", "--grid", "0:0")

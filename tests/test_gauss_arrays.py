@@ -91,6 +91,22 @@ class TestLagCorrCut:
         self._check(m, np.array([], dtype=int))
 
 
+@pytest.mark.parametrize("model", [
+    H.WeakAR1Model(1.0, 0.5), H.WeakAR1Model(1.0, -0.5), H.WeakAR1Model(1.0, 0.0),
+    H.StrongFactorModel(H.MixtureParams(1.0, 1.0, 0.8, 1.0)),
+    _weak_mirror_explicit(phi=-0.5)[1],
+], ids=["weak", "weak-negative", "weak-iid", "strong", "explicit"])
+def test_lag_corr_array_into_a_buffer_equals_the_allocating_call(model):
+    # the bound sums reuse leaf buffers; whatever a buffer held must not show,
+    # and at phi = -0.5 lags past 1100 are signed zeros
+    lags = np.arange(1.0, 3001.0)
+    for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        want = model.lag_corr_array(i, j, lags, 4000)
+        out = np.full(lags.shape, np.nan)
+        got = model.lag_corr_array(i, j, lags, 4000, out=out)
+        assert got is out and got.tobytes() == want.tobytes()
+
+
 class TestWeakAR1Sampling:
     def test_complete_dependence_rows_identical(self):
         row = H.sample_row(H.WeakAR1Model(0.0, 0.5), 50, 3)

@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import hrlab
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hrlab.__file__)))
@@ -65,18 +67,61 @@ H.empirical_max_law({model}, 200, 100, (grid, grid), 0, workers=2)
 """
 
 
+_FILTER_CACHE = "\nfrom hrlab.gauss_arrays import _lfilter\nprint(_lfilter.cache_info().currsize)"
+
+
 def test_filter_is_loaded_in_the_parent_before_the_pool_forks():
     # forked workers inherit what the parent has loaded; without this each
-    # worker of each pool would import scipy.signal on its own
-    loaded = _loaded_after(_POOL_RUN.format(model="H.WeakAR1Model(1.0, 0.2)"))
-    assert "scipy.signal" in loaded
+    # worker of each pool would load the filter on its own
+    run = _POOL_RUN.format(model="H.WeakAR1Model(1.0, 0.2)")
+    assert _output(run + _FILTER_CACHE) == "1"
+    assert "scipy.signal" not in _loaded_after(run)
 
 
 def test_strong_model_pool_never_loads_the_filter():
     # nor does an iid pool (phi = 0), whose rows need no filter either
     for model in ("H.StrongFactorModel(H.MixtureParams(1.0, 1.0, 0.8, 1.0))",
                   "H.WeakAR1Model(1.0, 0.0)"):
-        assert "scipy.signal" not in _loaded_after(_POOL_RUN.format(model=model)), model
+        run = _POOL_RUN.format(model=model)
+        assert "scipy.signal" not in _loaded_after(run), model
+        assert _output(run + _FILTER_CACHE) == "0", model
+
+
+_FILTER_RUNS = """
+import contextlib, io
+from hrlab.cli import main
+runs = ["weak --lambda 1 --phi 0.3 --n 200 --reps 200 --grid -1:3:3 --seed 5",
+        "maxmin --lambda 1 --phi 0.5 --n 200 --reps 200 --grid4 0.5,1.5 --seed 2",
+        "aslt --lambda 1 --phi 0.5 --nmax 1000 --seeds 2 --points 1,1 --seed 4"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["verify", *run.split()]) for run in runs]
+if codes != [0, 1, 1]:
+    raise SystemExit(f"unexpected exit codes {codes}")
+"""
+
+
+def test_filtering_commands_never_load_scipy_signal():
+    # golden-case sizes; the AR(1) filter is scipy's compiled kernel, loaded
+    # on its own
+    loaded = _loaded_after(_FILTER_RUNS)
+    assert "scipy.signal" not in loaded and "scipy.special" in loaded
+
+
+def test_filter_kernel_costs_under_5_mb():
+    code = ("import resource\nfrom hrlab.gauss_arrays import _lfilter\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n_lfilter()\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
+    assert int(_output(code)) < 5 * 1024  # ru_maxrss is in KB on Linux
+
+
+def test_missing_filter_kernel_raises_import_error_naming_scipy(monkeypatch, tmp_path):
+    import scipy
+
+    from hrlab.gauss_arrays import _lfilter
+
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=f"scipy {scipy.__version__} "):
+        _lfilter.__wrapped__()
 
 
 def test_explicit_factor_is_built_in_the_parent_before_the_pool_forks():
