@@ -114,14 +114,15 @@ def _lfilter():
 def _ar1_path(phi, start, innovations):
     """Stationary AR(1) paths along the last axis: x_k = phi x_{k-1} +
     sqrt(1-phi^2) eps_k, x_0 = start (one start per path).  With phi = 0 the
-    innovations are the paths and are returned as they are.  The filter gets
+    innovations are the paths and are returned as they are; otherwise they
+    are scaled in place, which saves a block-sized temporary.  The filter gets
     the arguments ``scipy.signal.lfilter([1.0], [1.0, -phi], x, zi=zi)``
     passes it, so the paths are lfilter's to the byte."""
     if phi == 0.0:
         return innovations
-    scaled = math.sqrt(1.0 - phi * phi) * innovations
+    innovations *= math.sqrt(1.0 - phi * phi)
     zi = np.multiply(phi, start)[..., None]
-    return _lfilter()(np.array([1.0]), np.array([1.0, -phi]), scaled, -1, zi)[0]
+    return _lfilter()(np.array([1.0]), np.array([1.0, -phi]), innovations, -1, zi)[0]
 
 
 def _first_size(ell):

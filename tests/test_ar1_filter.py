@@ -42,7 +42,7 @@ def mismatches():
     """The (phi, shape) cases whose ``_ar1_path`` bytes differ from lfilter's.
     Every ``_ar1_path`` runs before the first ``lfilter``."""
     inputs = [_inputs(shape, seed) for seed, (_, shape) in enumerate(CASES)]
-    got = [_ar1_path(phi, *args) for (phi, _), args in zip(CASES, inputs)]
+    got = [_ar1_path(phi, start, e.copy()) for (phi, _), (start, e) in zip(CASES, inputs)]
     want = [_lfilter_path(phi, *args) for (phi, _), args in zip(CASES, inputs)]
     return [case for case, a, b in zip(CASES, got, want) if a.tobytes() != b.tobytes()]
 
@@ -50,9 +50,12 @@ def mismatches():
 @pytest.mark.parametrize("phi,shape", CASES)
 def test_filter_matches_lfilter_bytes(phi, shape):
     start, innovations = _inputs(shape, 19)
-    got = _ar1_path(phi, start, innovations)
-    assert got.shape == shape
-    assert got.tobytes() == _lfilter_path(phi, start, innovations).tobytes()
+    want = _lfilter_path(phi, start, innovations).tobytes()
+    got = _ar1_path(phi, start, innovations.copy())
+    assert got.shape == shape and got.tobytes() == want
+    # the rows' layout: innovations are a strided view after the start column
+    block = np.concatenate([start[..., None], innovations], axis=-1)
+    assert _ar1_path(phi, block[..., 0], block[..., 1:]).tobytes() == want
 
 
 @given(phi=st.floats(-0.9999, 0.9999).filter(bool), rows=st.integers(1, 4),
@@ -60,7 +63,7 @@ def test_filter_matches_lfilter_bytes(phi, shape):
 def test_filter_matches_lfilter_bytes_property(phi, rows, cols, seed):
     start, innovations = _inputs((rows, 2, cols), seed)
     want = _lfilter_path(phi, start, innovations)
-    assert _ar1_path(phi, start, innovations).tobytes() == want.tobytes()
+    assert _ar1_path(phi, start, innovations.copy()).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("signal_first", [True, False])
