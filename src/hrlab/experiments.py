@@ -11,6 +11,7 @@ exact sums over the model's induced correlations.
 """
 
 import functools
+import gc
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -167,13 +168,20 @@ def _all_extremes(model, n, lineage, total, workers):
     # pool, which forks all its processes at the first submit, is capped
     per = math.ceil(total / workers)
     # one row of zeros builds here what forked workers would otherwise each
-    # build: the filter's import, an explicit model's factor
+    # build: the filter's kernel, an explicit model's factor
     model._rows(np.zeros((1, *model._layout(n))), [n])
-    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-        futures = [pool.submit(_extremes, model, lineage, range(lo, min(lo + per, total)),
-                               np.full(min(per, total - lo), n))
-                   for lo in range(0, total, per)]
-        return np.concatenate([fut.result() for fut in futures])
+    # a full collection in a worker writes the header of every object it
+    # traverses, so each worker would copy the parent's pages and spend tens
+    # of ms a collection; frozen, the parent's objects are never traversed
+    gc.freeze()
+    try:
+        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+            futures = [pool.submit(_extremes, model, lineage, range(lo, min(lo + per, total)),
+                                   np.full(min(per, total - lo), n))
+                       for lo in range(0, total, per)]
+            return np.concatenate([fut.result() for fut in futures])
+    finally:
+        gc.unfreeze()
 
 
 def empirical_max_law(model: ArrayModel, n: int, R: int, grid, seed,

@@ -1,5 +1,7 @@
 """Monte Carlo laws, mixture quadrature, ASLT paths and bound series."""
 
+import contextlib
+import gc
 import math
 import tracemalloc
 from concurrent.futures import Future
@@ -50,6 +52,37 @@ class TestEmpiricalMaxLaw:
         seq = H.empirical_max_law(m, 300, 400, (grid(), grid()), ROOT.child(2), workers=1)
         par = H.empirical_max_law(m, 300, 400, (grid(), grid()), ROOT.child(2), workers=2)
         assert np.array_equal(seq.cdf, par.cdf)
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_pool_forks_with_the_parents_objects_frozen(self, monkeypatch, fails):
+        # forked workers' collections skip the parent's objects; the parent
+        # unfreezes them afterwards, also when the pool fails
+        frozen = []
+
+        class InlinePool:  # starts no process
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                frozen.append(gc.get_freeze_count())
+                if fails:
+                    raise RuntimeError("worker died")
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        m = H.WeakAR1Model(1.0, 0.5)
+        with pytest.raises(RuntimeError) if fails else contextlib.nullcontext():
+            H.empirical_max_law(m, 200, 128, (grid(), grid()), ROOT.child(3), workers=2)
+        assert frozen and min(frozen) > 0
+        assert gc.get_freeze_count() == 0
 
     @pytest.mark.parametrize(("cpus", "cap"), [(3, 3), (None, 1), (128, 64)])
     def test_pool_capped_at_cpu_count_chunks_follow_workers(self, monkeypatch, cpus, cap):
