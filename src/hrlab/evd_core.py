@@ -6,11 +6,16 @@ All evaluation routines accept scalars or numpy arrays (broadcasting) and
 are total on the declared domains: the three parameter branches are chosen
 deterministically and no NaN can leak out at the branch points.
 
-``scipy.special`` (erfc, and the Gauss-Hermite rule of the mixture limits) is
-loaded on first use, so importing the package does not pay for it.
+Phi goes through scipy's ``erfc`` ufunc, loaded on first use from its compiled
+module ``scipy/special/_special_ufuncs`` alone (``_scipy_extension``), so no CDF
+or sampler call imports ``scipy.special``.  Only the Gauss-Hermite rule of the
+mixture limits (``_special``) does, on first use.  Importing the package pays
+for neither.
 """
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -119,11 +124,46 @@ def _special():
     return special
 
 
+def _scipy_extension(subpackage, name):
+    """scipy's compiled module ``scipy/<subpackage>/<name>``, loaded from its
+    file alone: the subpackage's ``__init__`` does not run, and the module is
+    not left in ``sys.modules`` unless it was there before.  A missing module
+    raises ImportError naming the scipy version."""
+    import scipy
+    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+    from importlib.util import module_from_spec
+
+    finder = FileFinder(os.path.join(scipy.__path__[0], subpackage),
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(f"scipy.{subpackage}.{name}")
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no compiled module "
+                          f"scipy/{subpackage}/{name}")
+    listed = spec.name in sys.modules
+    module = module_from_spec(spec)  # CPython lists a new single-phase module
+    spec.loader.exec_module(module)
+    if not listed:
+        sys.modules.pop(spec.name, None)
+    return module
+
+
+@lru_cache(maxsize=None)
+def _erfc():
+    """scipy's ``erfc`` ufunc, loaded on the first call from
+    ``scipy/special/_special_ufuncs`` alone: about 1 MB, where importing
+    ``scipy.special`` costs about 15 MB.  A scipy without that module or its
+    ``erfc`` gets ``scipy.special.erfc``, the same ufunc."""
+    try:
+        return _scipy_extension("special", "_special_ufuncs").erfc
+    except (ImportError, AttributeError):
+        return _special().erfc
+
+
 def std_normal_cdf(z, out=None):
     """Standard Gaussian CDF, evaluated through erfc for tail accuracy.  Given
     ``out``, an array of z's shape (it may be z), every step writes there."""
     t = np.divide(np.negative(z, out=out), _SQRT2, out=out)
-    t = _special().erfc(t, out=out)
+    t = _erfc()(t, out=out)
     return _maybe_scalar(np.multiply(0.5, t, out=out))
 
 

@@ -20,14 +20,13 @@ sizes do not decrease, into their (B, 2, m) values in one batch; row i is
 valid on its first ``sizes[i]`` columns.  ``sample_row`` is a block of one row.
 
 The AR(1) filter is scipy's compiled ``_linear_filter``, loaded on first use
-from its extension module alone: ``scipy.signal`` is never imported.
+from its extension module alone by ``evd_core._scipy_extension``, the loader
+of scipy's ``erfc``: ``scipy.signal`` is never imported.
 ``scipy.linalg`` (LAPACK's Cholesky) is loaded on first use.  So importing the
 package pays for neither.
 """
 
 import math
-import os
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -36,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, ModelError
 from .norming import rho0_from_lambda
-from .evd_core import MixtureParams, as_param
+from .evd_core import MixtureParams, _scipy_extension, as_param
 from .seeding import SeedLineage, as_lineage
 
 _PAIRS = ((1, 1), (1, 2), (2, 2))
@@ -89,26 +88,10 @@ def _by_size(fn, sizes):
 
 @lru_cache(maxsize=None)
 def _lfilter():
-    """scipy's compiled linear filter, ``_linear_filter`` of the extension
-    module ``scipy/signal/_sigtools``, loaded from its file on the first call.
-    Importing ``scipy.signal`` for it would cost about 67 MB and 0.8 s.  The
-    module is not left in ``sys.modules`` unless it was there before."""
-    import scipy
-    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-    from importlib.util import module_from_spec
-
-    finder = FileFinder(os.path.join(scipy.__path__[0], "signal"),
-                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
-    spec = finder.find_spec("scipy.signal._sigtools")
-    if spec is None:
-        raise ImportError(f"scipy {scipy.__version__} has no compiled filter "
-                          "scipy/signal/_sigtools")
-    listed = spec.name in sys.modules
-    module = module_from_spec(spec)  # CPython lists a new single-phase module
-    spec.loader.exec_module(module)
-    if not listed:
-        del sys.modules[spec.name]
-    return module._linear_filter
+    """scipy's compiled linear filter, ``_linear_filter`` of
+    ``scipy/signal/_sigtools``, loaded on the first call without importing
+    ``scipy.signal``, which would cost about 67 MB and 0.8 s."""
+    return _scipy_extension("signal", "_sigtools")._linear_filter
 
 
 def _ar1_path(phi, start, innovations):
@@ -173,15 +156,23 @@ class WeakAR1Model(_RowSizeRule):
         # (|phi|^k < 2^-1075), so it runs only where |phi|^k >= 2^-1100: 25
         # binades of margin cover any rounding of the cut.  Past the cut the
         # zero is -0.0 at odd integer k when phi is negative, as pow gives it;
-        # a negative phi keeps pow at non-integer k, where it gives NaN.
+        # a negative phi keeps pow at non-integer k, where it gives NaN.  The
+        # signs come from unmasked arithmetic in ``base``: a masked negate, or
+        # float temporaries, would cost several times as much.
         k = np.asarray(lags, dtype=float)
         phi = self.phi
         far = k > (1100.0 / -math.log2(abs(phi)) if phi else 0.0)
         base = np.empty(k.shape) if out is None else out
-        base.fill(0.0)
         if math.copysign(1.0, phi) < 0.0:
-            far &= k == np.floor(k)
-            np.negative(base, out=base, where=far & (np.floor(0.5 * k) != 0.5 * k))
+            # 2 floor(k/2) - k is 0 at even k and -1 at odd k; at non-integer
+            # or infinite k it is neither, and pow takes those lags
+            np.floor(np.multiply(0.5, k, out=base), out=base)
+            base *= 2.0
+            base -= k
+            far &= (base == 0.0) | (base == -1.0)
+            base *= 0.0  # +0.0 at even k, -0.0 at odd k
+        else:
+            base.fill(0.0)
         np.power(phi, k, out=base, where=~far)
         if i != j:  # in place: the bound sums call this on a million lags at once
             base *= self.rho0(n)

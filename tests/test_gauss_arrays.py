@@ -90,6 +90,38 @@ class TestLagCorrCut:
                                  np.nan, -3.0, 0.5]))
         self._check(m, np.array([], dtype=int))
 
+    @staticmethod
+    def _masked_negate(model, i, j, lags, n):
+        """The lag correlations with the signed zeros past the cut placed by a
+        masked negate, the direct form of the parity rule."""
+        k = np.asarray(lags, dtype=float)
+        phi = model.phi
+        far = k > (1100.0 / -math.log2(abs(phi)) if phi else 0.0)
+        base = np.zeros(k.shape)
+        if math.copysign(1.0, phi) < 0.0:
+            far &= k == np.floor(k)
+            np.negative(base, out=base, where=far & (np.floor(0.5 * k) != 0.5 * k))
+        np.power(phi, k, out=base, where=~far)
+        return base if i == j else base * model.rho0(n)
+
+    @pytest.mark.parametrize("phi", [-0.5, -0.9, -0.999, -1e-300, -0.0, 0.3])
+    def test_signed_zeros_match_the_masked_negate(self, phi):
+        # mixed lags: odd and even integers on both sides of the cut, integers
+        # past 2^53, non-integer, infinite, NaN, zero and negative lags
+        rng = np.random.default_rng(7)
+        lags = np.concatenate([np.arange(1000.0, 1300.0), np.arange(500_000.0, 532_768.0),
+                               [2.0**53 - 1, 2.0**53, 2.0**60, np.inf, -np.inf, np.nan,
+                                0.0, -0.0, -3.0, 0.5, 1101.5, 2.0**52 + 0.5],
+                               rng.uniform(0.0, 1e6, 1000), rng.integers(0, 10**7, 1000)])
+        lags = rng.permutation(lags)
+        m = H.WeakAR1Model(1.0, phi)
+        for i, j in ((1, 1), (1, 2)):
+            with np.errstate(all="ignore"):  # pow's NaN and overflow
+                want = self._masked_negate(m, i, j, lags, 1000).tobytes()
+                assert m.lag_corr_array(i, j, lags, 1000).tobytes() == want
+                out = np.full(lags.shape, np.nan)
+                assert m.lag_corr_array(i, j, lags, 1000, out=out).tobytes() == want
+
 
 @pytest.mark.parametrize("model", [
     H.WeakAR1Model(1.0, 0.5), H.WeakAR1Model(1.0, -0.5), H.WeakAR1Model(1.0, 0.0),

@@ -55,8 +55,24 @@ def test_bound_sums_and_usage_errors_leave_heavy_scipy_unloaded():
     assert _loaded_after(_BOUNDS_RUNS) == set()
 
 
-def test_first_cdf_call_loads_scipy_special():
-    assert "scipy.special" in _loaded_after("import hrlab; hrlab.hr_cdf(1.0, 0.0, 0.0)")
+_CDF_RUNS = """
+import contextlib, io
+import hrlab
+from hrlab.cli import main
+hrlab.hr_cdf(1.0, 0.0, 0.0), hrlab.hr_cdf_dx(1.0, 0.5, 0.0), hrlab.hr_copula(1.0, 0.3, 0.6)
+hrlab.hr_sample(1.0, 100, 0)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main("hr-eval --lambda 1 --grid -1:2:4".split())
+if code != 0:
+    raise SystemExit(f"unexpected exit code {code}")
+"""
+
+
+def test_cdf_and_sampler_calls_leave_heavy_scipy_unloaded():
+    # erfc comes from its compiled module alone, which is not left listed
+    assert _loaded_after(_CDF_RUNS) == set()
+    listed = "\nimport sys\nprint('scipy.special._special_ufuncs' in sys.modules)"
+    assert _output(_CDF_RUNS + listed) == "False"
 
 
 _POOL_RUN = """
@@ -101,15 +117,38 @@ if codes != [0, 1, 1]:
 
 
 def test_filtering_commands_never_load_scipy_signal():
-    # golden-case sizes; the AR(1) filter is scipy's compiled kernel, loaded
-    # on its own
-    loaded = _loaded_after(_FILTER_RUNS)
-    assert "scipy.signal" not in loaded and "scipy.special" in loaded
+    # nor scipy.special: golden-case sizes; the AR(1) filter and erfc are
+    # scipy's compiled kernels, each loaded on its own
+    assert _loaded_after(_FILTER_RUNS) == set()
+
+
+_STRONG_RUN = """
+import contextlib, io
+from hrlab.cli import main
+run = "verify strong --lambda 1 --tau 1,1,0.8 --n 200 --reps 200 --grid -1:3:3 --nodes 16 --seed 5"
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(run.split())
+if code != 1:
+    raise SystemExit(f"unexpected exit code {code}")
+"""
+
+
+def test_mixture_quadrature_loads_scipy_special():
+    # the positive control: roots_hermite is the one use of scipy.special
+    # (which itself imports scipy.linalg)
+    assert "scipy.special" in _loaded_after(_STRONG_RUN)
 
 
 def test_filter_kernel_costs_under_5_mb():
     code = ("import resource\nfrom hrlab.gauss_arrays import _lfilter\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n_lfilter()\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
+    assert int(_output(code)) < 5 * 1024  # ru_maxrss is in KB on Linux
+
+
+def test_erfc_kernel_costs_under_5_mb():
+    code = ("import resource\nfrom hrlab.evd_core import _erfc\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n_erfc()\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
     assert int(_output(code)) < 5 * 1024  # ru_maxrss is in KB on Linux
 
