@@ -3,8 +3,9 @@
 Every run resolves its flags into a RunConfig, which is echoed verbatim into
 the output (a ``config`` column in CSV, a ``config`` object in JSON) together
 with the artifact version, so any result file identifies the exact experiment
-that produced it.  Identical (config, seed, version) produce byte-identical
-output regardless of worker count.
+that produced it.  Identical (config, seed, version, numpy version, float64
+``exp``/``log`` code path) produce byte-identical output regardless of worker
+count; README's "What the byte contract covers" says why numpy enters.
 
 Exit codes: 0 verification passed, 1 verification failed, 2 usage or
 configuration error, 3 any other runtime error (memory, worker pool, ...).

@@ -8,9 +8,9 @@ deterministically and no NaN can leak out at the branch points.
 
 Phi goes through scipy's ``erfc`` ufunc, loaded on first use from its compiled
 module ``scipy/special/_special_ufuncs`` alone (``_scipy_extension``), so no CDF
-or sampler call imports ``scipy.special``.  Only the Gauss-Hermite rule of the
-mixture limits (``_special``) does, on first use.  Importing the package pays
-for neither.
+or sampler call imports ``scipy.special``.  Only a Gauss-Hermite rule of more
+than 150 nodes for the mixture limits (``_special``) does, on first use.
+Importing the package pays for neither.
 """
 
 import math
@@ -118,7 +118,8 @@ def _maybe_scalar(a):
 
 @lru_cache(maxsize=None)
 def _special():
-    """``scipy.special``, imported on the first call."""
+    """``scipy.special``, imported on the first call: ``erfc`` when its compiled
+    module cannot be loaded alone, and ``roots_hermite`` above 150 nodes."""
     from scipy import special
 
     return special

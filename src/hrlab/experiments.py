@@ -249,11 +249,51 @@ def _quad_nodes(nodes) -> int:
     return nodes
 
 
+GOLUB_WELSCH_MAX_NODES = 150  # scipy's roots_hermite turns asymptotic above this
+
+
+def _hermite(n, x):
+    """The physicists' Hermite polynomial H_n(x) for n >= 1, as scipy's
+    ``eval_hermite`` evaluates it: the He_n recurrence, run down from k = n, at
+    sqrt(2) x, times 2**(n/2)."""
+    t = math.sqrt(2.0) * x
+    y2, y3 = np.ones_like(t), np.zeros_like(t)
+    for k in range(n, 1, -1):
+        y2, y3 = t * y2 - k * y3, y2
+    return (t * y2 - y3) * 2.0 ** (n / 2.0)
+
+
+def _roots_hermite(n):
+    """Gauss-Hermite nodes and weights for 8 <= n <= GOLUB_WELSCH_MAX_NODES,
+    solved step for step as scipy 1.17's ``roots_hermite`` solves them, and to
+    its bytes (Golub & Welsch 1969, Math. Comp. 23): the eigenvalues of the
+    Jacobi matrix, one Newton step, log-normalised weights, symmetrised and
+    scaled to sum to sqrt(pi)."""
+    off = np.sqrt(np.arange(1.0, n) / 2.0)
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    dy = 2.0 * n * _hermite(n - 1, x)
+    x -= _hermite(n, x) / dy
+    fm = _hermite(n - 1, x)
+    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= math.sqrt(math.pi) / w.sum()
+    return x, w
+
+
 @functools.lru_cache(maxsize=8)
 def _hermgauss(nodes):
     """The Gauss-Hermite rule (nodes, weights), solved once per node count and
-    shared read-only."""
-    rule = _special().roots_hermite(_quad_nodes(nodes))
+    shared read-only.  Up to GOLUB_WELSCH_MAX_NODES it is ``_roots_hermite``,
+    numpy only; above, scipy's ``roots_hermite``, whose asymptotic branch
+    (Townsend, Trogdon & Olver 2015, IMA J. Numer. Anal. 36) imports
+    ``scipy.special``.  Either way the bytes are ``roots_hermite``'s."""
+    nodes = _quad_nodes(nodes)
+    rule = (_roots_hermite(nodes) if nodes <= GOLUB_WELSCH_MAX_NODES
+            else _special().roots_hermite(nodes))
     for a in rule:
         a.flags.writeable = False
     return rule

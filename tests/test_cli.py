@@ -266,6 +266,15 @@ class TestVerifyCommands:
         assert out == ""
         assert err.strip().startswith("error:")
 
+    @pytest.mark.parametrize("nodes", ["150", "151"])
+    def test_node_count_at_the_rule_split_is_accepted(self, capsys, nodes):
+        # the last numpy-only rule and the first rule from scipy
+        code, _, err = run_cli(
+            capsys, "verify", "strong", "--lambda", "1", "--tau", "1,1,0.8", "--n", "200",
+            "--reps", "100", "--grid", "0:1", "--nodes", nodes,
+        )
+        assert code in (0, 1), err
+
     @pytest.mark.parametrize(
         "args",
         [

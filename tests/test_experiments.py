@@ -3,6 +3,10 @@
 import contextlib
 import gc
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import Future
 from unittest import mock
@@ -11,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 import hrlab as H
 from hrlab import experiments, gauss_arrays
@@ -21,6 +25,9 @@ ROOT = H.SeedLineage(909)
 
 # mpmath adaptive quadrature, 25 significant digits: E Gumbel(1 - sqrt(2) Z)
 UNIV_MIX_TAU1_X0 = 0.6084866022380800139297039
+
+# switches a child's numpy to its non-AVX-512 loops on an x86 host that has them
+NON_AVX512 = "X86_V4 AVX512_SKX AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SPR"
 
 
 def grid(lo=-2.0, hi=4.0, count=9):
@@ -216,6 +223,36 @@ class TestMixtureQuadrature:
         h, w = experiments._hermgauss(128)
         assert experiments._hermgauss(128)[0] is h
         assert not (h.flags.writeable or w.flags.writeable)
+
+    def test_rule_has_roots_hermite_bytes(self):
+        # numpy's Golub-Welsch up to 150 nodes, scipy's own rule above
+        for nodes in [*range(8, 151), 151, 256, 1024]:
+            ours, theirs = experiments._hermgauss(nodes), special.roots_hermite(nodes)
+            assert [a.tobytes() for a in ours] == [a.tobytes() for a in theirs], nodes
+
+    def test_recurrence_has_eval_hermite_bytes(self):
+        x = np.linspace(-12.0, 12.0, 2001)
+        for n in range(1, 151):
+            assert experiments._hermite(n, x).tobytes() == special.eval_hermite(n, x).tobytes(), n
+
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                        reason="the variable names numpy's x86 code paths")
+    def test_rule_has_roots_hermite_bytes_off_avx512(self):
+        # numpy's non-AVX-512 exp and log loops, in a child interpreter: both
+        # rules go through np.exp and np.log, so they must move together
+        code = (
+            "from numpy._core._multiarray_umath import __cpu_features__\n"
+            "from scipy.special import roots_hermite\n"
+            "from hrlab.experiments import _roots_hermite\n"
+            "assert not __cpu_features__['X86_V4']\n"
+            "def rule_bytes(rule):\n    return [a.tobytes() for a in rule]\n"
+            "print([n for n in range(8, 151)\n"
+            "       if rule_bytes(_roots_hermite(n)) != rule_bytes(roots_hermite(n))])")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(H.__file__)),
+                   NPY_DISABLE_CPU_FEATURES=NON_AVX512)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("nodes", [4, 1025])
     def test_node_floor(self, nodes):

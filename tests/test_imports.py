@@ -125,18 +125,24 @@ def test_filtering_commands_never_load_scipy_signal():
 _STRONG_RUN = """
 import contextlib, io
 from hrlab.cli import main
-run = "verify strong --lambda 1 --tau 1,1,0.8 --n 200 --reps 200 --grid -1:3:3 --nodes 16 --seed 5"
+run = "verify strong --lambda 1 --tau 1,1,0.8 --n 200 --reps 200 --grid -1:3:3 --nodes {nodes} --seed 5"
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(run.split())
 if code != 1:
-    raise SystemExit(f"unexpected exit code {code}")
+    raise SystemExit(f"unexpected exit code {{code}}")
 """
 
 
-def test_mixture_quadrature_loads_scipy_special():
-    # the positive control: roots_hermite is the one use of scipy.special
-    # (which itself imports scipy.linalg)
-    assert "scipy.special" in _loaded_after(_STRONG_RUN)
+def test_mixture_quadrature_leaves_heavy_scipy_unloaded():
+    # the golden size, the default and the largest numpy-only rule
+    for nodes in (16, 128, 150):
+        assert _loaded_after(_STRONG_RUN.format(nodes=nodes)) == set(), nodes
+
+
+def test_mixture_quadrature_above_150_nodes_loads_scipy_special():
+    # the positive control: roots_hermite's asymptotic branch is the one use
+    # of scipy.special left
+    assert "scipy.special" in _loaded_after(_STRONG_RUN.format(nodes=151))
 
 
 def test_filter_kernel_costs_under_5_mb():
@@ -149,6 +155,13 @@ def test_filter_kernel_costs_under_5_mb():
 def test_erfc_kernel_costs_under_5_mb():
     code = ("import resource\nfrom hrlab.evd_core import _erfc\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n_erfc()\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
+    assert int(_output(code)) < 5 * 1024  # ru_maxrss is in KB on Linux
+
+
+def test_hermite_rule_costs_under_5_mb():
+    code = ("import resource\nfrom hrlab.experiments import _hermgauss\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n_hermgauss(128)\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
     assert int(_output(code)) < 5 * 1024  # ru_maxrss is in KB on Linux
 
