@@ -579,15 +579,14 @@ def config_of(ns) -> RunConfig:
     return RunConfig(command="-".join(ns.spec.path), seed=_resolve_seed(ns), **given)
 
 
-# flags whose values may start with '-' (grid specs, point lists); argparse
-# would otherwise read the value as an option string
-_DASH_VALUE_FLAGS = ("--grid", "--grid4", "--points", "--ngrid", "--tau", "--x", "--y")
-
-
 def _merge_dash_values(argv):
+    """argv with each '-'-leading value joined to its flag (``--phi=-5e-1``):
+    every flag of the table takes one value, and argparse reads only plain
+    decimals such as -0.5 as values rather than as option strings."""
+    flags = {name for cmd in COMMANDS for name, _ in cmd.flags + COMMON}
     out = []
     for tok in argv:
-        if out and out[-1] in _DASH_VALUE_FLAGS and tok.startswith("-"):
+        if out and out[-1] in flags and tok.startswith("-"):
             out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)

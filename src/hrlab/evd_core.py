@@ -7,10 +7,9 @@ are total on the declared domains: the three parameter branches are chosen
 deterministically and no NaN can leak out at the branch points.
 
 Phi goes through scipy's ``erfc`` ufunc, loaded on first use from its compiled
-module ``scipy/special/_special_ufuncs`` alone (``_scipy_extension``), so no CDF
-or sampler call imports ``scipy.special``.  Only a Gauss-Hermite rule of more
-than 150 nodes for the mixture limits (``_special``) does, on first use.
-Importing the package pays for neither.
+module ``scipy/special/_special_ufuncs`` alone (``_scipy_extension``), so no
+call imports ``scipy.special`` unless that module cannot be loaded.  Importing
+the package does not load it either.
 """
 
 import math
@@ -116,15 +115,6 @@ def _maybe_scalar(a):
     return float(a) if np.ndim(a) == 0 else a
 
 
-@lru_cache(maxsize=None)
-def _special():
-    """``scipy.special``, imported on the first call: ``erfc`` when its compiled
-    module cannot be loaded alone, and ``roots_hermite`` above 150 nodes."""
-    from scipy import special
-
-    return special
-
-
 def _scipy_extension(subpackage, name):
     """scipy's compiled module ``scipy/<subpackage>/<name>``, loaded from its
     file alone: the subpackage's ``__init__`` does not run, and the module is
@@ -157,7 +147,9 @@ def _erfc():
     try:
         return _scipy_extension("special", "_special_ufuncs").erfc
     except (ImportError, AttributeError):
-        return _special().erfc
+        from scipy.special import erfc
+
+        return erfc
 
 
 def std_normal_cdf(z, out=None):
@@ -179,6 +171,8 @@ def gumbel_cdf(x):
 def gumbel_quantile(u):
     """Inverse of the standard Gumbel CDF; u in [0, 1] with infinite endpoints."""
     u = np.asarray(u, dtype=float)
+    if not np.all((u >= 0.0) & (u <= 1.0)):  # also refuses NaN
+        raise DomainError("Gumbel quantile levels must lie in [0, 1]")
     with np.errstate(divide="ignore"):
         out = -np.log(-np.log(u))
     return _maybe_scalar(out)
@@ -255,8 +249,8 @@ def hr_copula(lam, u, v):
     p = as_param(lam)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if np.any((u < 0.0) | (u > 1.0)) or np.any((v < 0.0) | (v > 1.0)):
-        raise DomainError("copula arguments must lie in [0, 1]")
+    if not (np.all((u >= 0.0) & (u <= 1.0)) and np.all((v >= 0.0) & (v <= 1.0))):
+        raise DomainError("copula arguments must lie in [0, 1]")  # also refuses NaN
     if p.is_zero:
         return _maybe_scalar(np.minimum(u, v))
     if p.is_inf:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .evd_core import MixtureParams, _special, gumbel_cdf, hr_cdf
+from .evd_core import MixtureParams, gumbel_cdf, hr_cdf
 from .gauss_arrays import (
     _BLOCK_BYTES, _PAIRS, ArrayModel, StrongFactorModel, WeakAR1Model, _ar1_path, _by_size,
     _fill, _pair,
@@ -238,7 +238,7 @@ def sup_distance(emp: EmpiricalLaw2D, theory) -> float:
 # strong-dependence mixture limit (Gauss-Hermite quadrature)
 # ---------------------------------------------------------------------------
 
-QUAD_MAX_NODES = 1024  # the 2-d rule holds nodes^2 arrays: about 81 MB at the cap
+QUAD_MAX_NODES = 150  # the most nodes _roots_hermite solves to roots_hermite's bytes
 
 
 def _quad_nodes(nodes) -> int:
@@ -247,9 +247,6 @@ def _quad_nodes(nodes) -> int:
     if not 8 <= nodes <= QUAD_MAX_NODES:
         raise DomainError(f"quadrature nodes must lie in [8, {QUAD_MAX_NODES}], got {nodes}")
     return nodes
-
-
-GOLUB_WELSCH_MAX_NODES = 150  # scipy's roots_hermite turns asymptotic above this
 
 
 def _hermite(n, x):
@@ -264,11 +261,12 @@ def _hermite(n, x):
 
 
 def _roots_hermite(n):
-    """Gauss-Hermite nodes and weights for 8 <= n <= GOLUB_WELSCH_MAX_NODES,
-    solved step for step as scipy 1.17's ``roots_hermite`` solves them, and to
-    its bytes (Golub & Welsch 1969, Math. Comp. 23): the eigenvalues of the
+    """Gauss-Hermite nodes and weights for 8 <= n <= QUAD_MAX_NODES, solved
+    step for step as scipy 1.17's ``roots_hermite`` solves them, and to its
+    bytes (Golub & Welsch 1969, Math. Comp. 23): the eigenvalues of the
     Jacobi matrix, one Newton step, log-normalised weights, symmetrised and
-    scaled to sum to sqrt(pi)."""
+    scaled to sum to sqrt(pi).  Above 150 nodes scipy switches to an
+    asymptotic rule, so the bytes would no longer be scipy's."""
     off = np.sqrt(np.arange(1.0, n) / 2.0)
     x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
     dy = 2.0 * n * _hermite(n - 1, x)
@@ -286,14 +284,9 @@ def _roots_hermite(n):
 
 @functools.lru_cache(maxsize=8)
 def _hermgauss(nodes):
-    """The Gauss-Hermite rule (nodes, weights), solved once per node count and
-    shared read-only.  Up to GOLUB_WELSCH_MAX_NODES it is ``_roots_hermite``,
-    numpy only; above, scipy's ``roots_hermite``, whose asymptotic branch
-    (Townsend, Trogdon & Olver 2015, IMA J. Numer. Anal. 36) imports
-    ``scipy.special``.  Either way the bytes are ``roots_hermite``'s."""
-    nodes = _quad_nodes(nodes)
-    rule = (_roots_hermite(nodes) if nodes <= GOLUB_WELSCH_MAX_NODES
-            else _special().roots_hermite(nodes))
+    """The Gauss-Hermite rule (nodes, weights) of ``_roots_hermite``, solved
+    once per node count and shared read-only."""
+    rule = _roots_hermite(_quad_nodes(nodes))
     for a in rule:
         a.flags.writeable = False
     return rule
@@ -305,9 +298,9 @@ def mixture_limit_cdf(mp: MixtureParams, x: float, y: float, nodes: int = 128) -
     standard bivariate Gaussian (Z, W) with correlation tau12/sqrt(tau11 tau22).
 
     Tensor Gauss-Hermite rule with ``nodes`` points per axis after whitening
-    (Z, W) -> (Z, rho Z + sqrt(1 - rho^2) W').  The integrand is smooth and
-    sub-Gaussian-weighted, so past 64 nodes per axis a
-    doubling moves the value by less than 1e-10 on desk-scale parameters.
+    (Z, W) -> (Z, rho Z + sqrt(1 - rho^2) W').  At MixtureParams(1, 1, 0.8, 1),
+    going from 64 to 128 nodes per axis moves the value by 1.7e-10 at (0, 0)
+    and 9.1e-9 at (-2, 4), and from 128 to 150 by 8.3e-15 and 3.0e-12.
     """
     h, w = _hermgauss(nodes)
     rho = mp.rho_zw
@@ -335,16 +328,19 @@ def univariate_mixture_cdf(tau11: float, x: float, nodes: int = 128) -> float:
 def mixture_limit_mc(mp: MixtureParams, x: float, y: float, draws: int, seed):
     """Monte Carlo oracle for mixture_limit_cdf using exact (Z, W) draws.
 
-    Returns (estimate, standard_error).
+    Returns (estimate, standard_error); the error needs ``draws`` >= 2.
     """
+    draws = int(draws)
+    if draws < 2:
+        raise DomainError(f"draws must be >= 2, got {draws}")
     rng = as_lineage(seed).generator()
-    z, w = _pair(rng.standard_normal((2, int(draws))), mp.rho_zw)
+    z, w = _pair(rng.standard_normal((2, draws)), mp.rho_zw)
     vals = hr_cdf(
         mp.lambda_tilde,
         x + mp.tau11 - math.sqrt(2.0 * mp.tau11) * z,
         y + mp.tau22 - math.sqrt(2.0 * mp.tau22) * w,
     )
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(int(draws)))
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(draws))
 
 
 # ---------------------------------------------------------------------------

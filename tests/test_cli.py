@@ -246,6 +246,10 @@ class TestVerifyCommands:
             ("verify", "aslt", "--lambda", "1", "--phi", "0.5", "--nmax", "1000", "--seeds", "2",
              "--points", ";".join(["0,0"] * 101)),
             ("verify", "strong", "--lambda", "1", "--tau", "1,1,0.8", "--n", "200",
+             "--reps", "100", "--grid", "0:1", "--nodes", "151"),
+            ("verify", "strong", "--lambda", "1", "--tau", "1,1,0.8", "--n", "200",
+             "--reps", "100", "--grid", "0:1", "--nodes", "1024"),
+            ("verify", "strong", "--lambda", "1", "--tau", "1,1,0.8", "--n", "200",
              "--reps", "100", "--grid", "0:1", "--nodes", "1025"),
             ("verify", "strong", "--lambda", "1", "--tau", "1,1,0.8", "--n", "200",
              "--reps", "100", "--grid", "0:1", "--nodes", "7"),
@@ -253,7 +257,7 @@ class TestVerifyCommands:
              "--reps", "100", "--grid", "0:1", "--nodes", "2000"),
         ],
         ids=["nodes-0", "seeds-0", "seeds-1", "workers-0", "workers-negative",
-             "aslt-lambda-40", "points-101", "nodes-1025", "nodes-7", "nodes-2000"],
+             "aslt-lambda-40", "points-101", "nodes-151", "nodes-1024", "nodes-1025", "nodes-7", "nodes-2000"],
     )
     def test_out_of_range_count_is_exit_2(self, capsys, monkeypatch, args):
         # refused before any row is drawn
@@ -266,9 +270,9 @@ class TestVerifyCommands:
         assert out == ""
         assert err.strip().startswith("error:")
 
-    @pytest.mark.parametrize("nodes", ["150", "151"])
+    @pytest.mark.parametrize("nodes", ["150"])
     def test_node_count_at_the_rule_split_is_accepted(self, capsys, nodes):
-        # the last numpy-only rule and the first rule from scipy
+        # the largest node count accepted
         code, _, err = run_cli(
             capsys, "verify", "strong", "--lambda", "1", "--tau", "1,1,0.8", "--n", "200",
             "--reps", "100", "--grid", "0:1", "--nodes", nodes,
@@ -310,6 +314,35 @@ class TestVerifyCommands:
         assert out == ""
         assert "error: argument" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("verify", "weak", "--lambda", "{}", "--phi", "0.3", "--n", "200", "--reps", "100"),
+            ("verify", "weak", "--lambda", "1", "--phi", "{}", "--n", "200", "--reps", "100",
+             "--grid", "-1:3:3"),
+            ("verify", "bounds", "--lambda", "1", "--phi", "0.5", "--ngrid", "1e3", "--tol", "{}"),
+            ("verify", "bounds", "--kind", "rate", "--lambda", "1", "--phi", "0.5",
+             "--ngrid", "1e3", "--epsilon", "{}"),
+            ("verify", "strong", "--lambda", "1", "--tau", "1,1,0.8", "--n", "200",
+             "--reps", "100", "--grid", "-1:3:3", "--nodes", "16", "--marginal-tol", "{}"),
+            ("verify", "bounds", "--lambda", "1", "--phi", "0.5", "--ngrid", "1e3", "--x", "{}"),
+            ("verify", "bounds", "--lambda", "1", "--phi", "0.5", "--ngrid", "1e3", "--y", "{}"),
+        ],
+        ids=["lambda", "phi", "tol", "epsilon", "marginal-tol", "x", "y"],
+    )
+    def test_negative_value_in_scientific_notation_reads_as_decimal(self, capsys, args):
+        # argparse takes -0.5 for a value but -5e-1 for an option string
+        runs = [run_cli(capsys, *(a.format(v) for a in args)) for v in ("-5e-1", "-0.5")]
+        (code, out, err), (decimal_code, decimal_out, _) = runs
+        assert (code, out) == (decimal_code, decimal_out)
+        assert "expected one argument" not in err
+
+    def test_negative_epsilon_in_scientific_notation_is_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "bounds", "--kind", "rate", "--lambda", "1",
+                                 "--phi", "0.5", "--ngrid", "1e3", "--epsilon", "-1e-1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_grid_and_ngrid_caps_are_inclusive(self, capsys):
         code, out, _ = run_cli(capsys, "hr-eval", "--lambda", "1", "--grid", "0:1:201")

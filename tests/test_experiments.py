@@ -4,7 +4,6 @@ import contextlib
 import gc
 import math
 import os
-import platform
 import subprocess
 import sys
 import tracemalloc
@@ -21,13 +20,12 @@ import hrlab as H
 from hrlab import experiments, gauss_arrays
 from hrlab.errors import DomainError
 
+from cpu_path import NON_AVX512, X86
+
 ROOT = H.SeedLineage(909)
 
 # mpmath adaptive quadrature, 25 significant digits: E Gumbel(1 - sqrt(2) Z)
 UNIV_MIX_TAU1_X0 = 0.6084866022380800139297039
-
-# switches a child's numpy to its non-AVX-512 loops on an x86 host that has them
-NON_AVX512 = "X86_V4 AVX512_SKX AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SPR"
 
 
 def grid(lo=-2.0, hi=4.0, count=9):
@@ -196,7 +194,7 @@ class TestMixtureQuadrature:
         assert H.mixture_limit_cdf(self.MP, 40.0, 40.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_node_doubling_converges(self):
-        vals = [H.mixture_limit_cdf(self.MP, 0.0, 0.0, nodes) for nodes in (32, 64, 128, 256)]
+        vals = [H.mixture_limit_cdf(self.MP, 0.0, 0.0, nodes) for nodes in (32, 64, 128, 150)]
         deltas = [abs(a - b) for a, b in zip(vals, vals[1:])]
         assert deltas[0] > deltas[1] > deltas[2]
         assert deltas[-1] < 1e-10
@@ -206,6 +204,11 @@ class TestMixtureQuadrature:
             q = H.mixture_limit_cdf(self.MP, *point)
             mc, se = H.mixture_limit_mc(self.MP, *point, draws=200000, seed=ROOT.child(42))
             assert abs(q - mc) <= 3.0 * se
+
+    @pytest.mark.parametrize("draws", [1, 0])
+    def test_monte_carlo_oracle_refuses_fewer_than_two_draws(self, draws):
+        with pytest.raises(DomainError):
+            H.mixture_limit_mc(self.MP, 0.0, 0.0, draws=draws, seed=ROOT.child(42))
 
     def test_marginal_consistency(self):
         for x in (-1.0, 0.0, 0.7, 2.0):
@@ -225,8 +228,8 @@ class TestMixtureQuadrature:
         assert not (h.flags.writeable or w.flags.writeable)
 
     def test_rule_has_roots_hermite_bytes(self):
-        # numpy's Golub-Welsch up to 150 nodes, scipy's own rule above
-        for nodes in [*range(8, 151), 151, 256, 1024]:
+        # every accepted node count
+        for nodes in range(8, 151):
             ours, theirs = experiments._hermgauss(nodes), special.roots_hermite(nodes)
             assert [a.tobytes() for a in ours] == [a.tobytes() for a in theirs], nodes
 
@@ -235,8 +238,7 @@ class TestMixtureQuadrature:
         for n in range(1, 151):
             assert experiments._hermite(n, x).tobytes() == special.eval_hermite(n, x).tobytes(), n
 
-    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
-                        reason="the variable names numpy's x86 code paths")
+    @pytest.mark.skipif(not X86, reason="the variable names numpy's x86 code paths")
     def test_rule_has_roots_hermite_bytes_off_avx512(self):
         # numpy's non-AVX-512 exp and log loops, in a child interpreter: both
         # rules go through np.exp and np.log, so they must move together
@@ -254,7 +256,7 @@ class TestMixtureQuadrature:
                              text=True, timeout=120, check=True)
         assert out.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("nodes", [4, 1025])
+    @pytest.mark.parametrize("nodes", [4, 151, 1025])
     def test_node_floor(self, nodes):
         with pytest.raises(DomainError):
             H.mixture_limit_cdf(self.MP, 0.0, 0.0, nodes=nodes)

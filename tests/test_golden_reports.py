@@ -5,13 +5,20 @@ SHA-256 and exit code.  A refactor that keeps behaviour leaves every digest
 unchanged; a change that moves a draw, a float or a CSV column shows here.
 CSV is pinned for every case because column order exists only there.
 The digests embed the artifact version, so a version bump re-pins them.
+Four digests move on numpy's non-AVX-512 x86 loops for float64 ``exp`` and
+``log``, and are pinned a second time for those (``cpu_path``).
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
 from hrlab.cli import main
+
+import cpu_path
 
 CASES = {
     "hr-eval": ("hr-eval", "--lambda", "1", "--grid", "-1:2:4"),
@@ -84,6 +91,16 @@ GOLDEN = {
     ("bounds-L1-tree", "csv"): (1, "def2124a965830f16f619a03757517bbf561f6ad4ae57bd0223c7f28c8be6c76"),
 }
 
+# the digests that move on numpy's other x86 loops: the mixture quadrature and
+# the rate bound's within-row value go through np.exp and np.log
+GOLDEN_OFF_AVX512 = {
+    ("strong", "json"): (1, "f49428f06b6a53da8a13799de0a20facaa9bf4390a50d8eebde7d326f50043d0"),
+    ("strong", "csv"): (1, "7e193a5d38eee934940e839f46e526c131fe231afabd6d66465d5a826a33797f"),
+    ("bounds-rate", "json"): (0, "5a0e94a8ada65de564bfbb16056ea26a23583740f42d7c4123c1cd35ca38ea6a"),
+    ("bounds-rate", "csv"): (0, "8e740fc10fb0db344e2eb48cbcecafd8a5cc0816eafa1502f0c43b13e9c6ae3d"),
+}
+PINNED = {**GOLDEN, **GOLDEN_OFF_AVX512} if cpu_path.OFF_AVX512 else GOLDEN
+
 
 def report_digest(tmp_path, argv, fmt):
     out = tmp_path / f"report.{fmt}"
@@ -93,7 +110,7 @@ def report_digest(tmp_path, argv, fmt):
 
 @pytest.mark.parametrize(("case", "fmt"), list(GOLDEN), ids=[f"{c}-{f}" for c, f in GOLDEN])
 def test_report_bytes_are_pinned(tmp_path, case, fmt):
-    assert report_digest(tmp_path, CASES[case], fmt) == GOLDEN[(case, fmt)]
+    assert report_digest(tmp_path, CASES[case], fmt) == PINNED[(case, fmt)]
 
 
 @pytest.mark.parametrize("case", ["weak", "strong", "maxmin"])
@@ -101,4 +118,26 @@ def test_pool_path_gives_the_pinned_bytes(tmp_path, case):
     # the process pool splits replications into chunks and joins their
     # extremes; the report must equal the pinned in-process one
     argv = (*CASES[case], "--workers", "2")
-    assert report_digest(tmp_path, argv, "json") == GOLDEN[(case, "json")]
+    assert report_digest(tmp_path, argv, "json") == PINNED[(case, "json")]
+
+
+_OFF_AVX512_RUN = """
+import sys
+import pytest
+from numpy._core._multiarray_umath import __cpu_features__
+assert not __cpu_features__["X86_V4"], "numpy kept its AVX-512 loops"
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", "tests/test_golden_reports.py",
+                      "tests/test_evd_core.py::TestHrSample::test_draw_bytes_are_pinned"]))
+"""
+
+
+@pytest.mark.skipif(not cpu_path.X86 or cpu_path.OFF_AVX512,
+                    reason="needs numpy's AVX-512 loops, to switch them off")
+def test_pinned_digests_hold_off_avx512():
+    # every golden report and hr_sample pin, in a child interpreter on numpy's
+    # other x86 loops: the second set where a digest moves, the first elsewhere
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=cpu_path.NON_AVX512)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, "-c", _OFF_AVX512_RUN], cwd=root, env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stdout[-3000:] + out.stderr[-3000:]

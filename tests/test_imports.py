@@ -126,23 +126,23 @@ _STRONG_RUN = """
 import contextlib, io
 from hrlab.cli import main
 run = "verify strong --lambda 1 --tau 1,1,0.8 --n 200 --reps 200 --grid -1:3:3 --nodes {nodes} --seed 5"
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(run.split())
-if code != 1:
+if code != {code}:
     raise SystemExit(f"unexpected exit code {{code}}")
 """
 
 
 def test_mixture_quadrature_leaves_heavy_scipy_unloaded():
-    # the golden size, the default and the largest numpy-only rule
-    for nodes in (16, 128, 150):
-        assert _loaded_after(_STRONG_RUN.format(nodes=nodes)) == set(), nodes
+    # the smallest, the golden size, the default and the largest rule
+    for nodes in (8, 16, 128, 150):
+        assert _loaded_after(_STRONG_RUN.format(nodes=nodes, code=1)) == set(), nodes
 
 
-def test_mixture_quadrature_above_150_nodes_loads_scipy_special():
-    # the positive control: roots_hermite's asymptotic branch is the one use
-    # of scipy.special left
-    assert "scipy.special" in _loaded_after(_STRONG_RUN.format(nodes=151))
+def test_mixture_quadrature_above_150_nodes_is_refused():
+    # a configuration error (exit 2), with no scipy.special rule to fall back on
+    for nodes in (151, 1024):
+        assert _loaded_after(_STRONG_RUN.format(nodes=nodes, code=2)) == set(), nodes
 
 
 def test_filter_kernel_costs_under_5_mb():
