@@ -417,7 +417,7 @@ def cmd_verify_aslt(cfg: RunConfig, workers: int):
             ceiling_ok = ceiling_ok and not np.any(avgs > path.ceiling + 1e-12)
 
     # cross-seed concentration: std at n_max strictly below std at n_max/4
-    i_quarter = cps.index(cfg.nmax // 4) if cfg.nmax // 4 in cps else 0
+    i_quarter = cps.index(cfg.nmax // 4)
     i_final = len(cps) - 1
     shrink_ok = all(
         np.std([p.averages[ip, i_final] for p in paths], ddof=1)
@@ -437,6 +437,10 @@ def cmd_verify_aslt(cfg: RunConfig, workers: int):
 
 def cmd_verify_bounds(cfg: RunConfig, workers: int):
     kind = cfg.kind
+    if cfg.phi is not None and cfg.tau is not None:
+        raise HrlabError("verify bounds takes --phi (weak model) or --tau (strong model), not both")
+    if kind != "L2" and cfg.phi is None and cfg.tau is None:
+        raise HrlabError(f"--kind {kind} needs --phi (weak model) or --tau (strong model)")
     model = _weak_model(cfg) if kind != "L2" and cfg.phi is not None else _strong_model(cfg)
     if kind == "rate":
         report = aslt_bound_rate(model, _coupling_of(cfg.coupling), cfg.epsilon, cfg.n_grid,

@@ -312,22 +312,16 @@ def _conditional_quantile(lam, x, q):
     work = np.empty((4, x.size))
     flag = np.empty(x.size, dtype=bool)
 
-    step = 1.0
-    for _ in range(_BRACKET_STEPS):
-        if not np.greater(_cond_cdf(lam, x, lo, ex, cdf, work), q, out=flag).any():
-            break
-        np.subtract(lo, step, out=lo, where=flag)
-        step *= 2.0
-    else:
-        raise RuntimeError("failed to bracket conditional quantile from below")
-    step = 1.0
-    for _ in range(_BRACKET_STEPS):
-        if not np.less(_cond_cdf(lam, x, hi, ex, cdf, work), q, out=flag).any():
-            break
-        np.add(hi, step, out=hi, where=flag)
-        step *= 2.0
-    else:
-        raise RuntimeError("failed to bracket conditional quantile from above")
+    # widen lo while its CDF is above q, then hi while its CDF is below q
+    for bound, beyond, widen in ((lo, np.greater, np.subtract), (hi, np.less, np.add)):
+        step = 1.0
+        for _ in range(_BRACKET_STEPS):
+            if not beyond(_cond_cdf(lam, x, bound, ex, cdf, work), q, out=flag).any():
+                break
+            widen(bound, step, out=bound, where=flag)
+            step *= 2.0
+        else:
+            raise RuntimeError("failed to bracket conditional quantile")
 
     for _ in range(200):
         np.multiply(0.5, np.add(lo, hi, out=mid), out=mid)

@@ -15,7 +15,7 @@ import gc
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .gauss_arrays import (
     _fill, _pair,
 )
 from .norming import norming_constants
-from .seeding import SeedLineage, as_lineage
+from .seeding import as_lineage
 
 
 # ---------------------------------------------------------------------------
@@ -40,9 +40,6 @@ class EmpiricalLaw2D:
     grid_x: np.ndarray
     grid_y: np.ndarray
     cdf: np.ndarray            # shape (len(grid_x), len(grid_y))
-    replications: int
-    n: int
-    master_seed: SeedLineage
 
 
 @dataclass(frozen=True)
@@ -54,9 +51,6 @@ class EmpiricalLaw4D:
     grid_y1: np.ndarray
     grid_y2: np.ndarray
     prob: np.ndarray           # shape (len x1, len x2, len y1, len y2)
-    replications: int
-    n: int
-    master_seed: SeedLineage
 
 
 def _as_axis(values, name):
@@ -195,14 +189,11 @@ def empirical_max_law(model: ArrayModel, n: int, R: int, grid, seed,
     n, R = int(n), int(R)
     gx = _as_axis(grid[0], "grid_x")
     gy = _as_axis(grid[1], "grid_y")
-    lineage = as_lineage(seed)
-    ext = _all_extremes(model, n, lineage, R, workers)
+    ext = _all_extremes(model, n, as_lineage(seed), R, workers)
     corner = np.zeros((gx.size + 1, gy.size + 1), dtype=np.int64)
     np.add.at(corner, (np.searchsorted(gx, ext[:, 0]), np.searchsorted(gy, ext[:, 1])), 1)
     counts = corner.cumsum(axis=0).cumsum(axis=1)[: gx.size, : gy.size]
-    return EmpiricalLaw2D(
-        grid_x=gx, grid_y=gy, cdf=counts / R, replications=R, n=n, master_seed=lineage
-    )
+    return EmpiricalLaw2D(grid_x=gx, grid_y=gy, cdf=counts / R)
 
 
 def empirical_maxmin_law(model: ArrayModel, n: int, R: int, grid4, seed,
@@ -214,13 +205,11 @@ def empirical_maxmin_law(model: ArrayModel, n: int, R: int, grid4, seed,
     axes = tuple(_as_axis(a, f"grid4[{i}]") for i, a in enumerate(grid4))
     if any(a.size > 3 for a in axes):
         raise DomainError("grid4 axes are capped at 3 points each (cost guard)")
-    lineage = as_lineage(seed)
     mesh = np.meshgrid(*axes, indexing="ij")
-    hits = _hits(_all_extremes(model, n, lineage, R, workers), *(m.ravel() for m in mesh))
+    hits = _hits(_all_extremes(model, n, as_lineage(seed), R, workers), *(m.ravel() for m in mesh))
     counts = hits.sum(axis=0).reshape(mesh[0].shape)
     return EmpiricalLaw4D(
-        grid_x1=axes[0], grid_x2=axes[1], grid_y1=axes[2], grid_y2=axes[3],
-        prob=counts / R, replications=R, n=n, master_seed=lineage,
+        grid_x1=axes[0], grid_x2=axes[1], grid_y1=axes[2], grid_y2=axes[3], prob=counts / R,
     )
 
 
@@ -301,7 +290,9 @@ def mixture_limit_cdf(mp: MixtureParams, x: float, y: float, nodes: int = 128) -
     (Z, W) -> (Z, rho Z + sqrt(1 - rho^2) W').  At MixtureParams(1, 1, 0.8, 1),
     going from 64 to 128 nodes per axis moves the value by 1.7e-10 at (0, 0)
     and 9.1e-9 at (-2, 4), and from 128 to 150 by 8.3e-15 and 3.0e-12.
+    A NaN x or y is refused; +-inf is accepted.
     """
+    x, y = _thresholds(x, y)
     h, w = _hermgauss(nodes)
     rho = mp.rho_zw
     z = math.sqrt(2.0) * h
@@ -315,9 +306,10 @@ def mixture_limit_cdf(mp: MixtureParams, x: float, y: float, nodes: int = 128) -
 
 def univariate_mixture_cdf(tau11: float, x: float, nodes: int = 128) -> float:
     """Expectation of Gumbel(x + tau11 - sqrt(2 tau11) Z) over standard normal Z."""
+    (x,) = _thresholds(x)
     tau11 = float(tau11)
-    if tau11 < 0.0:
-        raise DomainError(f"tau11 must be >= 0, got {tau11}")
+    if not 0.0 <= tau11 < math.inf:  # NaN too
+        raise DomainError(f"tau11 must be a finite real >= 0, got {tau11}")
     h, w = _hermgauss(nodes)
     z = math.sqrt(2.0) * h
     vals = gumbel_cdf(x + tau11 - math.sqrt(2.0 * tau11) * z)
@@ -368,9 +360,6 @@ class Coupling:
             raise DomainError(f"shared coupling weight must lie in [0, 1), got {c}")
         object.__setattr__(self, "c", c)
 
-    def describe(self) -> str:
-        return self.kind if self.kind == "independent" else f"shared(c={self.c:g})"
-
 
 INDEPENDENT_ROWS = Coupling()
 
@@ -383,16 +372,11 @@ def shared_innovations(c: float) -> Coupling:
 class ASLTPath:
     """Logarithmic running averages of extreme-event indicators on one path."""
 
-    n_max: int
     k_start: int
-    checkpoints: tuple[int, ...]
-    points: tuple[tuple[float, float], ...]
+    checkpoints: tuple[int, ...]  # (n_max // 8, n_max // 4, n_max // 2, n_max)
     averages: np.ndarray          # (len(points), len(checkpoints))
-    maxmin_points: tuple[tuple[float, float, float, float], ...]
     maxmin_averages: np.ndarray   # (len(maxmin_points), len(checkpoints))
     ceiling: np.ndarray           # (sum_{k<=cp} 1/k) / ln(cp)
-    coupling: str
-    seed: SeedLineage
 
 
 ASLT_HARD_CAP = 10**5
@@ -430,10 +414,11 @@ class _SharedRows:
 
 
 def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed,
-                 maxmin_points=(), checkpoints=None) -> ASLTPath:
+                 maxmin_points=()) -> ASLTPath:
     """One almost-sure-limit-theorem path: the running averages
     (1/ln n) sum_{k<=n} (1/k) I(M_k^(1) <= u_k(x), M_k^(2) <= u_k(y))
-    reported at checkpoint row sizes, for each requested (x, y).
+    for each requested (x, y), reported at the row sizes n_max // 8,
+    n_max // 4, n_max // 2 and n_max.
 
     ``maxmin_points`` adds the four-sided indicator variant
     I(-u_k(y1) < m1 <= M1 <= u_k(x1), -u_k(y2) < m2 <= M2 <= u_k(x2)) for
@@ -443,7 +428,8 @@ def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed
 
     The sum starts at the model's smallest valid row size ``min_n()`` (>= 2,
     since the norming constants need ln(n) > 0); the discarded initial terms
-    are O(1/ln n) and do not affect the limit.
+    are O(1/ln n) and do not affect the limit.  The first checkpoint must be
+    a row of the sum, so n_max below 8 * min_n() is refused.
     """
     if not isinstance(model, WeakAR1Model):
         raise DomainError("ASLT paths are implemented for the weak-dependence AR(1) model")
@@ -458,14 +444,13 @@ def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed
         raise DomainError("maxmin points must be (x1, x2, y1, y2) tuples")
     if max(len(points), len(maxmin_points)) > ASLT_MAX_POINTS:
         raise DomainError(f"at most {ASLT_MAX_POINTS} points of each kind per path (cost guard)")
-    if checkpoints is None:
-        checkpoints = [n_max // 8, n_max // 4, n_max // 2, n_max]
-    checkpoints = tuple(sorted(set(int(c) for c in checkpoints)))
+    k_start = model.min_n()
+    if n_max // 8 < k_start:
+        raise DomainError(f"n_max must be >= {8 * k_start} for this model, so that the first "
+                          f"checkpoint n_max // 8 is at least its first row {k_start}; got {n_max}")
+    checkpoints = (n_max // 8, n_max // 4, n_max // 2, n_max)
 
     lineage = as_lineage(seed)
-    k_start = model.min_n()
-    if any(not k_start <= cp <= n_max for cp in checkpoints):
-        raise DomainError(f"checkpoints must lie in [{k_start}, n_max] for this model")
 
     rows = range(k_start, n_max + 1)
     if coupling.kind == "shared":
@@ -492,16 +477,11 @@ def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed
     ell = np.array([math.log(cp) for cp in checkpoints])
 
     return ASLTPath(
-        n_max=n_max,
         k_start=k_start,
         checkpoints=checkpoints,
-        points=points,
         averages=wsum[at, : len(points)].T / ell,
-        maxmin_points=maxmin_points,
         maxmin_averages=wsum[at, len(points) :].T / ell,
         ceiling=np.cumsum(inv_k)[at] / ell,
-        coupling=coupling.describe(),
-        seed=lineage,
     )
 
 
@@ -515,7 +495,6 @@ class BoundSeries:
 
     n_grid: tuple[int, ...]
     values: tuple[float, ...]
-    kind: str                  # "L1", "L2", "rate" or "cross_rate"
     omega_rule: str
 
 
@@ -525,17 +504,17 @@ class AsltRateReport:
 
     within_row: BoundSeries
     cross_row: BoundSeries
-    epsilon: float
     ratios: tuple[float, ...]
     bounded: bool
 
 
-def _thresholds(x, y):
-    """(x, y) as floats; +-inf drops that coordinate, NaN is refused."""
-    x, y = float(x), float(y)
-    if math.isnan(x) or math.isnan(y):
-        raise DomainError(f"x and y must not be NaN, got x={x}, y={y}")
-    return x, y
+def _thresholds(*values):
+    """``values`` as floats; NaN is refused, and +-inf is kept (in a bound sum
+    it drops that coordinate)."""
+    values = tuple(float(v) for v in values)
+    if any(math.isnan(v) for v in values):
+        raise DomainError(f"thresholds must not be NaN, got {values}")
+    return values
 
 
 def _omega(n, x, y):
@@ -620,8 +599,7 @@ def comparison_bound_series(model: ArrayModel, kind: str, x: float, y: float,
         taus = (model.mix.tau11, model.mix.tau12, model.mix.tau22)
     values = tuple(_weak_sum(model, n, _omega(n, x, y), kind, taus) for n in n_grid)
     return BoundSeries(
-        n_grid=n_grid, values=values, kind=kind,
-        omega_rule=f"omega_n = min(|u_n({x:g})|, |u_n({y:g})|)",
+        n_grid=n_grid, values=values, omega_rule=f"omega_n = min(|u_n({x:g})|, |u_n({y:g})|)"
     )
 
 
@@ -706,7 +684,7 @@ def _cross_rate_value(phi, c, n, omega_n, x, y):
 
 
 def aslt_bound_rate(model: ArrayModel, cross_row: Coupling, epsilon: float,
-                    n_grid, x: float = 0.0, y: float = 0.0) -> AsltRateReport:
+                    n_grid, x: float, y: float) -> AsltRateReport:
     """The within-row bound sum (as in the L1 series) and its ratio to
     (ln ln n)^-(1+epsilon), plus the cross-row analogue for the requested
     coupling (evaluated on its correlation envelope c * phi^(lag)).  Verdict
@@ -720,7 +698,7 @@ def aslt_bound_rate(model: ArrayModel, cross_row: Coupling, epsilon: float,
         raise DomainError("n_grid entries must be >= 16 so that ln ln n > 1")
     x, y = _thresholds(x, y)
 
-    within = replace(comparison_bound_series(model, "L1", x, y, n_grid), kind="rate")
+    within = comparison_bound_series(model, "L1", x, y, n_grid)
 
     if cross_row.kind == "shared":
         if not isinstance(model, WeakAR1Model):
@@ -730,12 +708,10 @@ def aslt_bound_rate(model: ArrayModel, cross_row: Coupling, epsilon: float,
         )
     else:
         cross_vals = tuple(0.0 for _ in n_grid)
-    cross = BoundSeries(n_grid=n_grid, values=cross_vals, kind="cross_rate",
-                        omega_rule=within.omega_rule)
+    cross = BoundSeries(n_grid=n_grid, values=cross_vals, omega_rule=within.omega_rule)
 
     rate = tuple(math.log(math.log(n)) ** (1.0 + epsilon) for n in n_grid)
     ratios = tuple(v * r for v, r in zip(within.values, rate))
     first_half = ratios[: (len(ratios) + 1) // 2]
     bounded = max(ratios) <= max(first_half) + 1e-300
-    return AsltRateReport(within_row=within, cross_row=cross, epsilon=epsilon,
-                          ratios=ratios, bounded=bounded)
+    return AsltRateReport(within_row=within, cross_row=cross, ratios=ratios, bounded=bounded)

@@ -379,10 +379,8 @@ class AssumptionReport:
     three grid points.
     """
 
-    assumption: str
     n_grid: tuple[int, ...]
     sigma_or_delta: float
-    alpha_or_varpi: float
     cutoff: tuple[int, ...]
     statistic: tuple[float, ...]
     decaying: bool
@@ -455,12 +453,5 @@ def validate_assumption(model: ArrayModel, which: str, n_grid, alpha: float,
                   for n, cut in zip(n_grid, cutoffs))
 
     decaying = len(stats) >= 3 and stats[-3] > stats[-2] > stats[-1]
-    return AssumptionReport(
-        assumption=which,
-        n_grid=n_grid,
-        sigma_or_delta=bound,
-        alpha_or_varpi=alpha,
-        cutoff=cutoffs,
-        statistic=stats,
-        decaying=decaying,
-    )
+    return AssumptionReport(n_grid=n_grid, sigma_or_delta=bound, cutoff=cutoffs,
+                            statistic=stats, decaying=decaying)

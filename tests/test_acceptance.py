@@ -6,8 +6,11 @@ was chosen once and is reproduced exactly by the deterministic stream layout,
 so the suite is not flaky.  All tolerances are the stated ones.
 """
 
+import functools
 import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -150,11 +153,11 @@ def test_criterion_7_almost_sure_limit_theorem():
     targets = [H.hr_cdf(1.0, x, y) for x, y in points]
     mm_targets = [H.hr_cdf(1.0, q[0], q[1]) * H.hr_cdf(1.0, q[2], q[3]) for q in mm_points]
     root = H.SeedLineage(1)
-    paths = [
-        H.aslt_average(model, H.INDEPENDENT_ROWS, 2 * 10**4, points, root.child(s),
-                       maxmin_points=mm_points)
-        for s in range(10)
-    ]
+    # each path is a pure function of its lineage: two at a time in worker processes
+    path_of = functools.partial(H.aslt_average, model, H.INDEPENDENT_ROWS, 2 * 10**4, points,
+                                maxmin_points=mm_points)
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        paths = list(pool.map(path_of, (root.child(s) for s in range(10))))
     worst = 0.0
     for ip, tgt in enumerate(targets):
         devs = [abs(float(p.averages[ip, -1]) - tgt) for p in paths]

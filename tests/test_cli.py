@@ -156,6 +156,23 @@ class TestVerifyCommands:
         report = json.loads(out)
         assert all(r["value"] == 0.0 for r in report["table"])
 
+    @pytest.mark.parametrize("kind", ["L1", "L2", "rate"])
+    def test_bounds_refuses_both_phi_and_tau(self, capsys, kind):
+        # each kind would otherwise run one model and drop the other flag
+        code, out, err = run_cli(capsys, "verify", "bounds", "--kind", kind, "--lambda", "1",
+                                 "--phi", "0.5", "--tau", "1,1,0.8", "--ngrid", "1e3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--phi" in err and "--tau" in err
+
+    @pytest.mark.parametrize("kind", ["L1", "rate"])
+    def test_bounds_without_a_model_flag_names_both(self, capsys, kind):
+        code, out, err = run_cli(capsys, "verify", "bounds", "--kind", kind, "--lambda", "1",
+                                 "--ngrid", "1e3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--phi" in err and "--tau" in err
+
     def test_bounds_rate(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "bounds", "--kind", "rate", "--lambda", "1", "--phi", "0.5",
@@ -245,6 +262,9 @@ class TestVerifyCommands:
              "--seeds", "2"),
             ("verify", "aslt", "--lambda", "1", "--phi", "0.5", "--nmax", "1000", "--seeds", "2",
              "--points", ";".join(["0,0"] * 101)),
+            # the first row is 168, so the first checkpoint nmax // 8 needs nmax >= 1344
+            ("verify", "aslt", "--lambda", "3.2", "--phi", "0.5", "--nmax", "1343",
+             "--seeds", "2"),
             ("verify", "strong", "--lambda", "1", "--tau", "1,1,0.8", "--n", "200",
              "--reps", "100", "--grid", "0:1", "--nodes", "151"),
             ("verify", "strong", "--lambda", "1", "--tau", "1,1,0.8", "--n", "200",
@@ -257,7 +277,7 @@ class TestVerifyCommands:
              "--reps", "100", "--grid", "0:1", "--nodes", "2000"),
         ],
         ids=["nodes-0", "seeds-0", "seeds-1", "workers-0", "workers-negative",
-             "aslt-lambda-40", "points-101", "nodes-151", "nodes-1024", "nodes-1025", "nodes-7", "nodes-2000"],
+             "aslt-lambda-40", "points-101", "aslt-nmax-1343", "nodes-151", "nodes-1024", "nodes-1025", "nodes-7", "nodes-2000"],
     )
     def test_out_of_range_count_is_exit_2(self, capsys, monkeypatch, args):
         # refused before any row is drawn

@@ -222,6 +222,24 @@ class TestMixtureQuadrature:
     def test_univariate_degenerate(self):
         assert H.univariate_mixture_cdf(0.0, 0.4) == pytest.approx(H.gumbel_cdf(0.4), abs=1e-15)
 
+    @pytest.mark.parametrize("call", [
+        lambda: H.mixture_limit_cdf(H.MixtureParams(1.0, 1.0, 0.8, 1.0), math.nan, 0.0),
+        lambda: H.univariate_mixture_cdf(math.nan, 0.0),
+        lambda: H.univariate_mixture_cdf(1.0, math.nan),
+        lambda: H.univariate_mixture_cdf(math.inf, 0.0),
+    ], ids=["mixture-x", "univariate-tau11", "univariate-x", "univariate-tau11-inf"])
+    def test_nan_argument_or_infinite_tau11_is_refused(self, call):
+        # the [0, 1] clamp would turn a NaN estimate into 0.0; an infinite
+        # tau11 gives NaN terms, and MixtureParams refuses it too
+        with pytest.raises(DomainError):
+            call()
+
+    def test_infinite_threshold_is_accepted(self):
+        # the rule's weights sum to sqrt(pi) within a few ulp
+        assert H.mixture_limit_cdf(self.MP, math.inf, math.inf) == pytest.approx(1.0, abs=1e-14)
+        assert H.mixture_limit_cdf(self.MP, 0.0, -math.inf) == 0.0
+        assert H.univariate_mixture_cdf(1.0, math.inf) == pytest.approx(1.0, abs=1e-14)
+
     def test_rule_is_solved_once_and_read_only(self):
         h, w = experiments._hermgauss(128)
         assert experiments._hermgauss(128)[0] is h
@@ -331,8 +349,7 @@ class TestAsltAverage:
         # reference: accumulate each row's indicators in a Python loop
         m = H.WeakAR1Model(1.0, 0.5)
         pts, mm = ((0.0, 0.0), (1.0, 0.5)), ((1.0, 1.0, 0.5, 1.0),)
-        path = H.aslt_average(m, H.INDEPENDENT_ROWS, 1000, pts, ROOT.child(12),
-                              maxmin_points=mm, checkpoints=(300, 1000))
+        path = H.aslt_average(m, H.INDEPENDENT_ROWS, 1000, pts, ROOT.child(12), maxmin_points=mm)
         wsum, wsum_mm, harm = [0.0, 0.0], [0.0], 0.0
         averages, averages_mm, ceiling = [], [], []
         for k in range(path.k_start, 1001):
@@ -357,10 +374,14 @@ class TestAsltAverage:
         assert np.array_equal(path.maxmin_averages, np.array(averages_mm).T)
         assert np.array_equal(path.ceiling, ceiling)
 
-    def test_checkpoints_beyond_n_max_are_rejected(self):
-        with pytest.raises(DomainError):
-            H.aslt_average(H.WeakAR1Model(1.0, 0.5), H.INDEPENDENT_ROWS, 1000, ((0.0, 0.0),), 1,
-                           checkpoints=(500, 2000))
+    def test_first_checkpoint_before_the_first_row_is_refused(self):
+        # lam = 3.2: the first row is 168, so n_max // 8 needs n_max >= 1344
+        m = H.WeakAR1Model(3.2, 0.5)
+        assert m.min_n() == 168
+        with pytest.raises(DomainError, match="n_max must be >= 1344"):
+            H.aslt_average(m, H.INDEPENDENT_ROWS, 1343, ((0.0, 0.0),), 1)
+        path = H.aslt_average(m, H.INDEPENDENT_ROWS, 1344, ((0.0, 0.0),), 1)
+        assert path.checkpoints == (168, 336, 672, 1344)
 
     def test_expected_level_matches_exact_iid_formula(self):
         # lam=0, phi=0: P(M_k <= u_k(x)) = Phi(u_k(x))^k exactly
@@ -382,7 +403,6 @@ class TestAsltAverage:
     def test_shared_coupling_runs_and_validates(self):
         m = H.WeakAR1Model(1.0, 0.5)
         path = H.aslt_average(m, H.shared_innovations(0.2), 1200, ((0.0, 0.0),), ROOT.child(11))
-        assert path.coupling == "shared(c=0.2)"
         assert np.all(path.averages <= path.ceiling + 1e-12)
         # rho_0(2) = 1 - 1/ln 2 = -0.44, so c=0.4 makes the residual
         # correlation fall below -1 at the first row
@@ -553,7 +573,7 @@ class TestBoundSeries:
 
     def test_rate_grid_floor(self):
         with pytest.raises(DomainError):
-            H.aslt_bound_rate(H.WeakAR1Model(1.0, 0.5), H.INDEPENDENT_ROWS, 0.1, (8, 100))
+            H.aslt_bound_rate(H.WeakAR1Model(1.0, 0.5), H.INDEPENDENT_ROWS, 0.1, (8, 100), 3.0, 3.0)
 
     @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.nan)])
     def test_nan_threshold_is_refused(self, x, y):
