@@ -49,6 +49,10 @@ _TUPLE_FIELDS = ("tau", "n_grid", "grid", "grid4", "points")
 
 GRID_MAX_POINTS = 201  # per axis: hr-eval tabulates count^2 rows
 NGRID_MAX = 10**8      # bound sums cost O(n) per grid entry
+# --n and --reps keep every array below 256 MB: a row of 2(n+1) float64
+# normals, and verify maxmin's (reps, 81) event matrices.  --seeds bounds the
+# run time of verify aslt, one path after another of up to ~1e10 normals each
+COUNT_CAPS = {"n": 10**7, "reps": 10**6, "seeds": 100}
 
 
 @dataclass(frozen=True)
@@ -130,7 +134,7 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         count = int(parts[2]) if len(parts) == 3 else (1 if lo == hi else 2)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"grid must be lo:hi[:count], got {text!r}") from exc
-    if hi < lo or count < 1 or (count == 1 and hi != lo):
+    if hi < lo or count < 1 or (count == 1) != (hi == lo):  # one point exactly when lo == hi
         raise argparse.ArgumentTypeError(f"degenerate grid spec {text!r}")
     if count > GRID_MAX_POINTS:
         raise argparse.ArgumentTypeError(f"grid count is capped at {GRID_MAX_POINTS}, got {count}")
@@ -583,6 +587,14 @@ def config_of(ns) -> RunConfig:
     return RunConfig(command="-".join(ns.spec.path), seed=_resolve_seed(ns), **given)
 
 
+def _check_caps(cfg: RunConfig) -> None:
+    """Refuse a count flag above its cap in COUNT_CAPS, before any draw."""
+    for name, cap in COUNT_CAPS.items():
+        value = getattr(cfg, name)
+        if value is not None and value > cap:
+            raise HrlabError(f"--{name} is capped at {cap}, got {value}")
+
+
 def _merge_dash_values(argv):
     """argv with each '-'-leading value joined to its flag (``--phi=-5e-1``):
     every flag of the table takes one value, and argparse reads only plain
@@ -608,6 +620,7 @@ def main(argv=None) -> int:
         if ns.workers < 1:
             raise HrlabError(f"--workers must be >= 1, got {ns.workers}")
         cfg = config_of(ns)
+        _check_caps(cfg)
         table, summary, passed = ns.spec.run(cfg, ns.workers)
         emit(cfg, table, summary, passed, ns.out)
     except (HrlabError, OSError) as exc:

@@ -323,11 +323,20 @@ def _conditional_quantile(lam, x, q):
         else:
             raise RuntimeError("failed to bracket conditional quantile")
 
+    # each step moves mid into lo where cdf(mid) <= q and into hi elsewhere,
+    # by a bitwise select on the uint64 views: exact, and free of the
+    # per-element branch a masked copy takes on random flags.  The mask lives
+    # in the cdf row and the select's scratch in a work row
+    lo_u, hi_u, mid_u = lo.view(np.uint64), hi.view(np.uint64), mid.view(np.uint64)
+    mask, bits = cdf.view(np.uint64), work[0].view(np.uint64)
     for _ in range(200):
         np.multiply(0.5, np.add(lo, hi, out=mid), out=mid)
         np.less_equal(_cond_cdf(lam, x, mid, ex, cdf, work), q, out=flag)
-        np.copyto(lo, mid, where=flag)
-        np.copyto(hi, mid, where=np.logical_not(flag, out=flag))
+        np.negative(flag, out=mask, dtype=np.uint64)  # all ones where flag
+        np.bitwise_and(np.bitwise_xor(lo_u, mid_u, out=bits), mask, out=bits)
+        lo_u ^= bits                                   # lo = mid where flag
+        np.bitwise_and(np.bitwise_xor(mid_u, hi_u, out=bits), mask, out=bits)
+        np.bitwise_xor(mid_u, bits, out=hi_u)          # hi = mid elsewhere
         if np.subtract(hi, lo, out=mid).max() <= _QUANTILE_TOL:
             break
     else:

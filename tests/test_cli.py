@@ -275,9 +275,22 @@ class TestVerifyCommands:
              "--reps", "100", "--grid", "0:1", "--nodes", "7"),
             ("verify", "strong", "--lambda", "1", "--tau", "1,1,0.8", "--n", "200",
              "--reps", "100", "--grid", "0:1", "--nodes", "2000"),
+            # one above each count cap
+            ("verify", "weak", "--lambda", "1", "--phi", "0.5", "--n", "10000001",
+             "--reps", "100"),
+            ("verify", "weak", "--lambda", "1", "--phi", "0.5", "--n", "1000000000",
+             "--reps", "100", "--workers", "2"),
+            ("verify", "strong", "--lambda", "1", "--tau", "1,1,0.8", "--n", "10000001",
+             "--reps", "100", "--grid", "0:1"),
+            ("verify", "maxmin", "--lambda", "1", "--phi", "0.5", "--n", "200",
+             "--reps", "1000001"),
+            ("verify", "aslt", "--lambda", "1", "--phi", "0.5", "--nmax", "1000",
+             "--seeds", "101"),
         ],
         ids=["nodes-0", "seeds-0", "seeds-1", "workers-0", "workers-negative",
-             "aslt-lambda-40", "points-101", "aslt-nmax-1343", "nodes-151", "nodes-1024", "nodes-1025", "nodes-7", "nodes-2000"],
+             "aslt-lambda-40", "points-101", "aslt-nmax-1343", "nodes-151", "nodes-1024", "nodes-1025", "nodes-7", "nodes-2000",
+             "n-above-cap", "n-1e9-two-workers", "strong-n-above-cap", "reps-above-cap",
+             "seeds-above-cap"],
     )
     def test_out_of_range_count_is_exit_2(self, capsys, monkeypatch, args):
         # refused before any row is drawn
@@ -289,6 +302,29 @@ class TestVerifyCommands:
         assert code == 2
         assert out == ""
         assert err.strip().startswith("error:")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("verify", "weak", "--lambda", "1", "--phi", "0.5", "--n", "10000000",
+             "--reps", "100"),
+            ("verify", "maxmin", "--lambda", "1", "--phi", "0.5", "--n", "200",
+             "--reps", "1000000"),
+            ("verify", "aslt", "--lambda", "1", "--phi", "0.5", "--nmax", "1000",
+             "--seeds", "100"),
+        ],
+        ids=["n-at-cap", "reps-at-cap", "seeds-at-cap"],
+    )
+    def test_count_at_its_cap_is_accepted(self, capsys, monkeypatch, args):
+        # an accepted config runs up to its first draw, which fails here: exit 3
+        def first_draw(self):
+            raise RuntimeError("first draw")
+
+        monkeypatch.setattr(H.SeedLineage, "generator", first_draw)
+        code, out, err = run_cli(capsys, *args, "--workers", "1")
+        assert code == 3, err
+        assert out == ""
+        assert err.strip() == "error: RuntimeError: first draw"
 
     @pytest.mark.parametrize("nodes", ["150"])
     def test_node_count_at_the_rule_split_is_accepted(self, capsys, nodes):
@@ -317,6 +353,9 @@ class TestVerifyCommands:
             ("hr-eval", "--lambda", "1", "--grid", "nan:1"),
             ("hr-eval", "--lambda", "1", "--grid", "0:inf:3"),
             ("hr-eval", "--lambda", "1", "--grid", "0:1:100000000"),
+            # lo == hi with a count above 1 would repeat one point
+            ("hr-eval", "--lambda", "1", "--grid", "1:1:3"),
+            ("verify", "weak", "--lambda", "1", "--phi", "0.5", "--grid", "0:0:2"),
             ("verify", "bounds", "--lambda", "1", "--phi", "0.5", "--ngrid", "inf"),
             ("verify", "bounds", "--lambda", "1", "--phi", "0.5", "--ngrid", "1e3,1e12"),
             ("verify", "weak", "--lambda", "1", "--phi", "0.3", "--n", "200", "--reps", "100",
@@ -324,7 +363,8 @@ class TestVerifyCommands:
         ],
         ids=["x-nan", "y-neg-inf", "epsilon-inf", "phi-nan", "tol-nan", "marginal-tol-inf",
              "tau-nan", "grid4-inf", "points-nan", "grid-lo-nan", "grid-hi-inf",
-             "grid-count-1e8", "ngrid-inf", "ngrid-1e12", "seed-negative"],
+             "grid-count-1e8", "grid-repeated-point", "weak-grid-repeated-point", "ngrid-inf",
+             "ngrid-1e12", "seed-negative"],
     )
     def test_non_finite_or_oversized_flag_is_usage_error(self, capsys, args):
         # argparse rejects the value before any work: exit 2 and a usage

@@ -30,6 +30,39 @@ finite_lams = st.floats(min_value=0.05, max_value=20.0)
 gumbel_args = st.floats(min_value=-3.0, max_value=6.0)
 
 
+def masked_copy_quantile(lam, x, q):
+    """The sampler's bracket and bisection with the step as two masked copies,
+    the form its bitwise select replaced: the roots and the number of
+    ``_cond_cdf`` calls."""
+    calls = 0
+
+    def cdf(y):
+        nonlocal calls
+        calls += 1
+        return evd_core._cond_cdf(lam, x, y, ex)
+
+    ex = np.exp(-x)
+    pad = 2.0 * lam * lam + 2.0
+    gq = evd_core.gumbel_quantile(q)
+    lo, hi = np.minimum(x, gq) - pad, np.maximum(x, gq) + pad
+    for bound, beyond, widen in ((lo, np.greater, np.subtract), (hi, np.less, np.add)):
+        step = 1.0
+        for _ in range(evd_core._BRACKET_STEPS):
+            flag = beyond(cdf(bound), q)
+            if not flag.any():
+                break
+            widen(bound, step, out=bound, where=flag)
+            step *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        flag = cdf(mid) <= q
+        np.copyto(lo, mid, where=flag)
+        np.copyto(hi, mid, where=~flag)
+        if (hi - lo).max() <= evd_core._QUANTILE_TOL:
+            return 0.5 * (lo + hi), calls
+    raise AssertionError("reference bisection did not converge")
+
+
 class TestStdNormalCdf:
     def test_symmetry_point(self):
         assert H.std_normal_cdf(0.0) == 0.5
@@ -320,6 +353,29 @@ class TestHrSample:
         assert evd_core._cond_cdf(lam, x, y, ex, out, work) is out
         assert out.tobytes() == want.tobytes()
         assert evd_core._cond_cdf(lam, x, y, ex).tobytes() == want.tobytes()
+
+    @given(lam=st.floats(1e-3, 1e3), u=st.floats(2.0**-53, 1.0 - 2.0**-53),
+           level=st.floats(2.0**-53, 1.0 - 2.0**-53))
+    def test_bitwise_step_gives_the_masked_copy_bytes(self, lam, u, level):
+        # x at both ends of the Gumbel range the sampler draws from and at u;
+        # q at both clip edges and at level
+        ends = (evd_core._UNIT_LO, evd_core._UNIT_HI)
+        x, q = (a.ravel() for a in np.meshgrid(evd_core.gumbel_quantile(np.array([*ends, u])),
+                                               np.array([*ends, level])))
+        want, want_calls = masked_copy_quantile(lam, x, q)
+        calls = 0
+        real = evd_core._cond_cdf
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evd_core, "_cond_cdf", counted)
+            got = evd_core._conditional_quantile(lam, x, q)
+        assert got.tobytes() == want.tobytes()
+        assert calls == want_calls
 
     def test_sampler_memory(self):
         # bisection buffers are allocated once per solve; fresh 400 KB
