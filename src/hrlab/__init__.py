@@ -48,6 +48,7 @@ from .experiments import (
     empirical_maxmin_law,
     mixture_limit_cdf,
     mixture_limit_mc,
+    sample_rows,
     shared_innovations,
     sup_distance,
     univariate_mixture_cdf,
@@ -94,6 +95,7 @@ __all__ = [
     "rho0_from_lambda",
     "row_extremes",
     "sample_row",
+    "sample_rows",
     "shared_innovations",
     "std_normal_cdf",
     "sup_distance",

@@ -301,12 +301,6 @@ def cmd_hr_eval(cfg: RunConfig, workers: int):
     return table, {"rows": len(table)}, None
 
 
-def _weak_model(cfg: RunConfig) -> WeakAR1Model:
-    if cfg.phi is None or cfg.lam is None:
-        raise HrlabError("this command needs --lambda and --phi")
-    return WeakAR1Model(cfg.lam, cfg.phi)
-
-
 def _strong_model(cfg: RunConfig) -> StrongFactorModel:
     if cfg.tau is None or cfg.lam is None:
         raise HrlabError("this command needs --lambda and --tau t11,t22,t12")
@@ -315,7 +309,7 @@ def _strong_model(cfg: RunConfig) -> StrongFactorModel:
 
 
 def cmd_verify_weak(cfg: RunConfig, workers: int):
-    model = _weak_model(cfg)
+    model = WeakAR1Model(cfg.lam, cfg.phi)
     baseline = WeakAR1Model(cfg.lam, 0.0)
     axis = _axis(cfg.grid)
     root = SeedLineage(cfg.seed)
@@ -373,7 +367,7 @@ def cmd_verify_strong(cfg: RunConfig, workers: int):
 
 
 def cmd_verify_maxmin(cfg: RunConfig, workers: int):
-    model = _weak_model(cfg)
+    model = WeakAR1Model(cfg.lam, cfg.phi)
     vals = np.asarray(cfg.grid4, dtype=float)
     emp = empirical_maxmin_law(model, cfg.n, cfg.reps, (vals,) * 4,
                                SeedLineage(cfg.seed).child(0), workers)
@@ -389,7 +383,7 @@ def cmd_verify_maxmin(cfg: RunConfig, workers: int):
 
 
 def cmd_verify_aslt(cfg: RunConfig, workers: int):
-    model = _weak_model(cfg)
+    model = WeakAR1Model(cfg.lam, cfg.phi)
     coupling = _coupling_of(cfg.coupling)
     if cfg.seeds < 2:
         raise DomainError(f"--seeds must be >= 2 to compare spreads across paths, got {cfg.seeds}")
@@ -445,7 +439,8 @@ def cmd_verify_bounds(cfg: RunConfig, workers: int):
         raise HrlabError("verify bounds takes --phi (weak model) or --tau (strong model), not both")
     if kind != "L2" and cfg.phi is None and cfg.tau is None:
         raise HrlabError(f"--kind {kind} needs --phi (weak model) or --tau (strong model)")
-    model = _weak_model(cfg) if kind != "L2" and cfg.phi is not None else _strong_model(cfg)
+    weak = kind != "L2" and cfg.phi is not None
+    model = WeakAR1Model(cfg.lam, cfg.phi) if weak else _strong_model(cfg)
     if kind == "rate":
         report = aslt_bound_rate(model, _coupling_of(cfg.coupling), cfg.epsilon, cfg.n_grid,
                                  cfg.x, cfg.y)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the coercion of count
+arguments that refuses with them."""
 
 
 class HrlabError(Exception):
@@ -19,3 +20,12 @@ class ModelError(HrlabError, RuntimeError):
     def __init__(self, message, minor_index=None):
         super().__init__(message)
         self.minor_index = minor_index
+
+
+def _count(value, name):
+    """``value`` as ``int(value)`` gives it; where ``int`` fails (an inf or NaN
+    count) the refusal is a DomainError."""
+    try:
+        return int(value)
+    except (OverflowError, ValueError):
+        raise DomainError(f"{name} must be a finite integer, got {value}") from None

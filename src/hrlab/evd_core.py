@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _count
 from .seeding import as_lineage
 
 _SQRT2 = math.sqrt(2.0)
@@ -354,7 +354,7 @@ def hr_sample(lam, count, seed):
     determinism contract.
     """
     p = as_param(lam)
-    count = int(count)
+    count = _count(count, "count")
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     rng = as_lineage(seed).generator()

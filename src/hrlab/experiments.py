@@ -4,10 +4,12 @@ the limit laws, plus exact evaluation of the comparison-lemma bound series.
 Empirical laws draw each replication from its own child RNG stream, keep its
 normalized extremes, and count grid events once in the parent, so results are
 independent of chunking and worker count.  ASLT paths draw their rows through
-the same kernel, one child stream per row size.  The kernel draws rows one
-stream at a time into a reused block buffer, then pairs, filters and reduces
-the block in one batch.  Bound series involve no simulation at all: they are
-exact sums over the model's induced correlations.
+the same kernel, one child stream per row size.  The kernel's one block loop,
+``_row_blocks``, draws rows one stream at a time into a reused block buffer
+and pairs and filters the block in one batch; ``_extremes`` reduces each block
+to the rows' extremes, and the public ``sample_rows`` copies the rows out.
+Bound series involve no simulation at all: they are exact sums over the
+model's induced correlations.
 """
 
 import functools
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _count
 from .evd_core import MixtureParams, gumbel_cdf, hr_cdf
 from .gauss_arrays import (
     _BLOCK_BYTES, _PAIRS, ArrayModel, StrongFactorModel, WeakAR1Model, _ar1_path, _by_size,
@@ -65,11 +67,6 @@ def _as_axis(values, name):
 _BLOCK = 1024  # child streams hashed per ``SeedLineage.children`` call
 
 
-def _streams(lineage, keys):
-    for lo in range(0, len(keys), _BLOCK):
-        yield from lineage.children(keys[lo : lo + _BLOCK])
-
-
 def _width(model, n):
     """Variates in one row of the draw layout at row size n (an int or an array)."""
     return math.prod(model._layout(n))
@@ -101,27 +98,17 @@ def _reduce(x, sizes, ext):
         np.minimum(ext[:, 2:], np.where(keep, tail, np.inf).min(axis=-1), out=ext[:, 2:])
 
 
-def _extremes(model, lineage, keys, sizes):
-    """Row i has size ``sizes[i]`` and is drawn from the stream
-    ``lineage.child(keys[i])``; it is reduced to (s1, s2, t1, t2), its
-    normalized maxima and reflected, normalized minima.  Sizes must not
-    decrease.
-
-    Rows go in blocks of consecutive keys, padded to the block's last size.
-    Each row is drawn by one ``model._sample`` call into a buffer reused across
-    blocks, and one ``model._rows`` call turns the block into row values.  The
-    filter is causal, so a row's prefix does not depend on its padding.  The
-    norming constants are recomputed only when the row size changes."""
-    sizes = np.asarray(sizes)
-    if np.any(sizes[1:] < sizes[:-1]):
-        raise DomainError("row sizes must not decrease")
-    out = np.empty((len(keys), 4))
-    ab = np.empty((len(keys), 2))  # each row's (a_n, b_n)
-    starts = np.flatnonzero(np.diff(sizes, prepend=-1)).tolist()  # where the size changes
-    for lo, hi in zip(starts, starts[1:] + [len(keys)]):
-        nm = norming_constants(int(sizes[lo]))
-        ab[lo:hi] = nm.a, nm.b
-    streams = _streams(lineage, keys)
+def _row_blocks(model, lineage, keys, sizes):
+    """(lo, hi, x) per block: row i, of size ``sizes[i]`` (an array that does
+    not decrease) and drawn from the stream ``lineage.child(keys[i])``, is the
+    first ``sizes[i]`` columns of ``x[i - lo]`` (B, 2, m).  Blocks are of
+    consecutive keys, padded to their last size.  Each row is drawn by one
+    ``model._sample`` call into a buffer reused across blocks, and one
+    ``model._rows`` call turns the block into row values.  The filter is
+    causal, so a row's prefix does not depend on its padding; ``x`` may view
+    the buffer, so it is stale at the next block."""
+    streams = (child for a in range(0, len(keys), _BLOCK)
+               for child in lineage.children(keys[a : a + _BLOCK]))
     listed = sizes.tolist()
     buf = np.zeros(0)
     lo = 0
@@ -136,12 +123,44 @@ def _extremes(model, lineage, keys, sizes):
         # zip ends at the block's last row before it takes another stream
         for row, n, child in zip(block, part, streams):
             model._sample(n, child.generator(), out=row)
-        _reduce(model._rows(block, part), part, out[lo:hi])
+        yield lo, hi, model._rows(block, part)
         lo = hi
+
+
+def _extremes(model, lineage, keys, sizes):
+    """The rows of ``_row_blocks`` reduced to (s1, s2, t1, t2), normalized
+    maxima and reflected, normalized minima; norming constants are recomputed
+    only when the row size changes."""
+    sizes = np.asarray(sizes)
+    if np.any(sizes[1:] < sizes[:-1]):
+        raise DomainError("row sizes must not decrease")
+    out = np.empty((len(keys), 4))
+    ab = np.empty((len(keys), 2))  # each row's (a_n, b_n)
+    starts = np.flatnonzero(np.diff(sizes, prepend=-1)).tolist()  # where the size changes
+    for lo, hi in zip(starts, starts[1:] + [len(keys)]):
+        nm = norming_constants(int(sizes[lo]))
+        ab[lo:hi] = nm.a, nm.b
+    for lo, hi, x in _row_blocks(model, lineage, keys, sizes):
+        _reduce(x, sizes[lo:hi], out[lo:hi])
+        del x  # one block of row values alive at a time
     np.negative(out[:, 2:], out=out[:, 2:])
     out -= ab[:, 1:]
     out /= ab[:, :1]
     return out
+
+
+def sample_rows(model: ArrayModel, n: int, seed, keys) -> np.ndarray:
+    """(len(keys), 2, n): row i is ``sample_row(model, n, lineage.child(keys[i]))``
+    to the byte, for the lineage of ``seed``; keys must be >= 0."""
+    lineage, n = as_lineage(seed), _count(n, "row size")
+    model.validate_n(n)
+    keys = [_count(k, "key") for k in keys]
+    if min(keys, default=0) < 0:
+        raise DomainError(f"keys must be integers >= 0, got {min(keys)}")
+    rows = np.empty((len(keys), 2, n))
+    for lo, hi, x in _row_blocks(model, lineage, keys, np.full(len(keys), n)):
+        rows[lo:hi] = x
+    return rows
 
 
 def _hits(ext, x1, x2, y1, y2):
@@ -186,7 +205,7 @@ def empirical_max_law(model: ArrayModel, n: int, R: int, grid, seed,
     Counts are integers taken in the parent over every replication's extremes,
     so the result is identical for any worker count.
     """
-    n, R = int(n), int(R)
+    n, R = _count(n, "row size"), _count(R, "replications")
     gx = _as_axis(grid[0], "grid_x")
     gy = _as_axis(grid[1], "grid_y")
     ext = _all_extremes(model, n, as_lineage(seed), R, workers)
@@ -201,7 +220,7 @@ def empirical_maxmin_law(model: ArrayModel, n: int, R: int, grid4, seed,
     """Empirical probabilities of the four-sided event
     -u_n(y1) < m1 <= M1 <= u_n(x1), -u_n(y2) < m2 <= M2 <= u_n(x2)
     on a small 4-d grid (at most 3 points per axis)."""
-    n, R = int(n), int(R)
+    n, R = _count(n, "row size"), _count(R, "replications")
     axes = tuple(_as_axis(a, f"grid4[{i}]") for i, a in enumerate(grid4))
     if any(a.size > 3 for a in axes):
         raise DomainError("grid4 axes are capped at 3 points each (cost guard)")
@@ -232,7 +251,7 @@ QUAD_MAX_NODES = 150  # the most nodes _roots_hermite solves to roots_hermite's 
 
 def _quad_nodes(nodes) -> int:
     """``nodes`` as an int; a node count outside [8, QUAD_MAX_NODES] is refused."""
-    nodes = int(nodes)
+    nodes = _count(nodes, "quadrature nodes")
     if not 8 <= nodes <= QUAD_MAX_NODES:
         raise DomainError(f"quadrature nodes must lie in [8, {QUAD_MAX_NODES}], got {nodes}")
     return nodes
@@ -322,7 +341,7 @@ def mixture_limit_mc(mp: MixtureParams, x: float, y: float, draws: int, seed):
 
     Returns (estimate, standard_error); the error needs ``draws`` >= 2.
     """
-    draws = int(draws)
+    draws = _count(draws, "draws")
     if draws < 2:
         raise DomainError(f"draws must be >= 2, got {draws}")
     rng = as_lineage(seed).generator()
@@ -433,7 +452,7 @@ def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed
     """
     if not isinstance(model, WeakAR1Model):
         raise DomainError("ASLT paths are implemented for the weak-dependence AR(1) model")
-    n_max = int(n_max)
+    n_max = _count(n_max, "n_max")
     if n_max < 1000:
         raise DomainError(f"n_max must be >= 1000, got {n_max}")
     if n_max > ASLT_HARD_CAP:
@@ -588,7 +607,7 @@ def comparison_bound_series(model: ArrayModel, kind: str, x: float, y: float,
     the max over the component pairs.  omega_n = min(|u_n(x)|, |u_n(y)|)."""
     if kind not in ("L1", "L2"):
         raise DomainError(f"kind must be 'L1' or 'L2', got {kind!r}")
-    n_grid = tuple(int(n) for n in n_grid)
+    n_grid = tuple(_count(n, "n_grid entry") for n in n_grid)
     if not n_grid or any(n < 2 for n in n_grid):
         raise DomainError("n_grid must be non-empty with entries >= 2")
     x, y = _thresholds(x, y)
@@ -693,7 +712,7 @@ def aslt_bound_rate(model: ArrayModel, cross_row: Coupling, epsilon: float,
     epsilon = float(epsilon)
     if epsilon <= 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
-    n_grid = tuple(int(n) for n in n_grid)
+    n_grid = tuple(_count(n, "n_grid entry") for n in n_grid)
     if not n_grid or any(n < 16 for n in n_grid):
         raise DomainError("n_grid entries must be >= 16 so that ln ln n > 1")
     x, y = _thresholds(x, y)

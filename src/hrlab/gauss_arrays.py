@@ -17,7 +17,10 @@ one row's standard normals into ``out``, a row of the model's draw layout
 (shape ``_layout(m)`` for a block whose largest row size is m >= n).
 ``_rows(block, sizes)`` then turns a (B, *layout) block of such rows, whose
 sizes do not decrease, into their (B, 2, m) values in one batch; row i is
-valid on its first ``sizes[i]`` columns.  ``sample_row`` is a block of one row.
+valid on its first ``sizes[i]`` columns.  ``sample_row`` is a block of one row
+drawn from the seed's own stream.  The one loop that draws many rows, block by
+block, is ``experiments._row_blocks``: ``experiments.sample_rows`` copies its
+rows out and the Monte Carlo laws reduce them.
 
 The AR(1) filter is scipy's compiled ``_linear_filter``, loaded on first use
 from its extension module alone by ``evd_core._scipy_extension``, the loader
@@ -33,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ModelError
+from .errors import DomainError, ModelError, _count
 from .norming import rho0_from_lambda
 from .evd_core import MixtureParams, _scipy_extension, as_param
 from .seeding import SeedLineage, as_lineage
@@ -336,7 +339,7 @@ ArrayModel = WeakAR1Model | StrongFactorModel | ExplicitModel
 def sample_row(model: ArrayModel, n: int, seed) -> RowSample:
     """Sample one row of the triangular array; bit-identical for equal seeds."""
     lineage = as_lineage(seed)
-    n = int(n)
+    n = _count(n, "row size")
     model.validate_n(n)
     block = np.zeros((1, *model._layout(n)))
     model._sample(n, lineage.generator(), out=block[0])
@@ -348,12 +351,12 @@ def induced_correlation(model: ArrayModel, i: int, j: int, k: int, n: int) -> fl
     """Exact model correlation of X_s^(i) and X_{s+k}^(j) within row n."""
     if i not in (1, 2) or j not in (1, 2):
         raise DomainError(f"component indices must be 1 or 2, got ({i}, {j})")
-    k = int(k)
-    if k < 0 or k >= int(n):
+    k, size = _count(k, "lag"), _count(n, "row size")
+    if k < 0 or k >= size:
         raise DomainError(f"lag must satisfy 0 <= k < n, got k={k}, n={n}")
     if k == 0:
-        return 1.0 if i == j else model.rho0(int(n))
-    return float(model.lag_corr_array(i, j, [k], int(n))[0])
+        return 1.0 if i == j else model.rho0(size)
+    return float(model.lag_corr_array(i, j, [k], size)[0])
 
 
 def row_extremes(row: RowSample) -> tuple[float, float, float, float]:
@@ -406,7 +409,7 @@ def validate_assumption(model: ArrayModel, which: str, n_grid, alpha: float,
     """
     if which not in ("A1", "A2"):
         raise DomainError(f"assumption must be 'A1' or 'A2', got {which!r}")
-    n_grid = tuple(int(n) for n in n_grid)
+    n_grid = tuple(_count(n, "n_grid entry") for n in n_grid)
     if not n_grid or any(n < 2 for n in n_grid) or list(n_grid) != sorted(set(n_grid)):
         raise DomainError("n_grid must be a non-empty strictly increasing list of ints >= 2")
     for n in n_grid:

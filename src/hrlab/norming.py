@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _count
 from .evd_core import HrParam, as_param
 
 
@@ -30,7 +30,7 @@ class Norming:
 
 def norming_constants(n: int) -> Norming:
     """Norming constants a_n = 1/sqrt(2 ln n), b_n = sqrt(2 ln n) - ln(4 pi ln n)/(2 sqrt(2 ln n))."""
-    n = int(n)
+    n = _count(n, "row size")
     if n < 2:
         raise DomainError(f"row size must be >= 2, got {n}")
     r = math.sqrt(2.0 * math.log(n))
@@ -44,7 +44,7 @@ def rho0_from_lambda(lam, n: int) -> float:
     canonical there) and lam^2 > 2 ln(n) (correlation below -1).
     """
     p = as_param(lam)
-    n = int(n)
+    n = _count(n, "row size")
     if n < 2:
         raise DomainError(f"row size must be >= 2, got {n}")
     if math.isinf(p.value):
@@ -57,7 +57,7 @@ def rho0_from_lambda(lam, n: int) -> float:
     # (rho_0 = -1) from being rejected after rounding
     if p.value * p.value > 2.0 * ell * (1.0 + 4e-16):
         raise DomainError(
-            f"lam^2={p.value ** 2:g} exceeds 2 ln(n)={2 * ell:g}; "
+            f"lam^2={p.value * p.value:g} exceeds 2 ln(n)={2 * ell:g}; "
             "the implied correlation would fall below -1"
         )
     return max(-1.0, 1.0 - p.value * p.value / ell)
@@ -66,7 +66,7 @@ def rho0_from_lambda(lam, n: int) -> float:
 def lambda_from_rho0(rho: float, n: int) -> HrParam:
     """Invert the calibration: lam = sqrt((1 - rho) * ln(n))."""
     rho = float(rho)
-    n = int(n)
+    n = _count(n, "row size")
     if n < 2:
         raise DomainError(f"row size must be >= 2, got {n}")
     if not -1.0 <= rho <= 1.0:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DomainError, _count
+
 _M32 = 0xFFFFFFFF
 # numpy's SeedSequence hash constants (pool size 4)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -120,7 +122,10 @@ class SeedLineage:
 
 
 def as_lineage(seed) -> SeedLineage:
-    """Coerce an int or SeedLineage into a SeedLineage."""
+    """Coerce an int >= 0 or SeedLineage into a SeedLineage."""
     if isinstance(seed, SeedLineage):
         return seed
-    return SeedLineage(int(seed))
+    entropy = _count(seed, "seed")
+    if entropy < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {entropy}")
+    return SeedLineage(entropy)

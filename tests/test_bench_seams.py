@@ -84,6 +84,17 @@ def test_traced_counts_of_an_empirical_law(tracing, monkeypatch, model, per_row,
     assert t.calls["norming.norming_constants"] == workers  # one per chunk
 
 
+@pytest.mark.parametrize("model, per_row", [
+    (hrlab.WeakAR1Model(1.0, 0.2), lambda n: 2 * (n + 1)),
+    (hrlab.StrongFactorModel(hrlab.MixtureParams(1.0, 1.0, 0.8, 1.0)), lambda n: 2 + 2 * n),
+], ids=["weak", "strong"])
+def test_traced_counts_of_sample_rows(tracing, model, per_row):
+    n, keys = 150, range(3, 1100)  # crosses the 1024-key hash edge
+    t = _traced(tracing, lambda: hrlab.sample_rows(model, n, 5, keys))
+    assert t.calls["seeding.generator"] == t.counts["rows"] == len(keys)
+    assert t.counts["normals"] == len(keys) * per_row(n)
+
+
 def test_traced_counts_of_an_aslt_path(tracing):
     model, n_max = hrlab.WeakAR1Model(1.0, 0.5), 1000
     t = _traced(tracing, lambda: hrlab.cli.aslt_average(

@@ -173,6 +173,13 @@ class TestVerifyCommands:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "--phi" in err and "--tau" in err
 
+    @pytest.mark.parametrize("kind", ["L1", "rate"])
+    def test_bounds_lambda_whose_square_overflows_is_exit_2(self, capsys, kind):
+        code, out, err = run_cli(capsys, "verify", "bounds", "--kind", kind, "--lambda", "1e200",
+                                 "--phi", "0.5", "--ngrid", "1e3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_bounds_rate(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "bounds", "--kind", "rate", "--lambda", "1", "--phi", "0.5",

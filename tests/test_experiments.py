@@ -515,6 +515,40 @@ class TestRowKernel:
         assert not comps[:, n:].any()
 
 
+class TestSampleRows:
+    """``sample_rows`` copies the kernel's blocks out; each row must equal
+    ``sample_row`` on the key's child stream byte for byte."""
+
+    @pytest.mark.parametrize("model, n", [
+        (TestRowKernel.WEAK, 60),
+        (H.WeakAR1Model(1.0, 0.0), 60),
+        (H.WeakAR1Model(1.0, -0.6), 60),
+        (TestRowKernel.STRONG, 60),
+        (H.ExplicitModel(lambda n: 0.4, lambda i, j, k, n: 0.5**k * (0.7 if i != j else 1.0)), 12),
+    ], ids=["weak", "weak-phi0", "weak-phi-negative", "strong", "explicit"])
+    def test_rows_equal_sample_row(self, monkeypatch, model, n):
+        # a 4 KB cap cuts blocks inside the 1024-key hash chunks
+        monkeypatch.setattr(experiments, "_BLOCK_BYTES", 4096)
+        keys, lineage = TestRowKernel.KEYS, ROOT.child(46)
+        assert 1 < experiments._block(model, np.full(len(keys), n), 0) < 1024
+        got = H.sample_rows(model, n, lineage, keys)
+        assert got.shape == (len(keys), 2, n)
+        for row, k in zip(got, keys):
+            want = H.sample_row(model, n, lineage.child(k))
+            assert row.tobytes() == np.stack([want.x1, want.x2]).tobytes(), k
+
+    def test_no_keys_give_no_rows(self):
+        assert H.sample_rows(TestRowKernel.WEAK, 60, ROOT, []).shape == (0, 2, 60)
+
+    def test_negative_key_is_refused_before_any_draw(self, monkeypatch):
+        def no_draws(self):
+            raise AssertionError("a row was drawn")
+
+        monkeypatch.setattr(H.SeedLineage, "generator", no_draws)
+        with pytest.raises(DomainError, match="keys"):
+            H.sample_rows(TestRowKernel.WEAK, 60, ROOT, [3, -1, 4])
+
+
 class TestBoundSeries:
     GRID = (1000, 10**4, 10**5)
 

@@ -31,21 +31,6 @@ def _weak_mirror_explicit(lam=1.0, phi=0.5):
     return wm, H.ExplicitModel(rho0_fn, rho_fn, label="weak-mirror")
 
 
-def _sample_rows(model, n, keys, block=1024):
-    """The (len(keys), 2, n) rows ``sample_row(model, n, ROOT.child(k))``
-    draws, drawn in blocks of up to ``block`` keys: one ``_sample`` per row
-    and one ``_rows`` per block."""
-    keys = list(keys)
-    rows = np.empty((len(keys), 2, n))
-    for start in range(0, len(keys), block):
-        lineages = ROOT.children(keys[start:start + block])
-        draws = np.zeros((len(lineages), *model._layout(n)))
-        for out, lineage in zip(draws, lineages):
-            model._sample(n, lineage.generator(), out=out)
-        rows[start:start + len(lineages)] = model._rows(draws, [n] * len(lineages))
-    return rows
-
-
 class TestInducedCorrelation:
     def test_weak_ar1_values(self):
         m = H.WeakAR1Model(1.0, 0.5)
@@ -297,8 +282,8 @@ class TestExplicitSampling:
     def test_matches_ar1_distribution(self):
         # same correlation structure sampled through two unrelated code paths
         wm, em = _weak_mirror_explicit()
-        m_w = _sample_rows(wm, 100, range(10**4))[:, 0].max(axis=1)
-        m_e = _sample_rows(em, 100, range(10**5, 10**5 + 10**4))[:, 0].max(axis=1)
+        m_w = H.sample_rows(wm, 100, ROOT, range(10**4))[:, 0].max(axis=1)
+        m_e = H.sample_rows(em, 100, ROOT, range(10**5, 10**5 + 10**4))[:, 0].max(axis=1)
         assert stats.ks_2samp(m_w, m_e).pvalue > 0.001
 
     def test_non_psd_raises_with_minor_index(self):
@@ -356,13 +341,13 @@ class TestExplicitSampling:
 
 class TestSamplerCorrelationAgreement:
     def test_block_draws_have_sample_row_bytes(self):
-        # the blocked draws below stand in for sample_row: 300 keys per model
-        # in blocks of 128, the last one short
+        # sample_rows stands in for sample_row below: 300 keys per model at
+        # n = 200 make several blocks, the last one short
         wm, em = _weak_mirror_explicit()
         sf = H.StrongFactorModel(H.MixtureParams(1.0, 1.0, 0.8, 1.0))
         for offset, model in ((0, wm), (10**6, sf), (2 * 10**6, em)):
             keys = range(offset, offset + 300)
-            rows = _sample_rows(model, 200, keys, block=128)
+            rows = H.sample_rows(model, 200, ROOT, keys)
             for row, k in zip(rows, keys):
                 want = H.sample_row(model, 200, ROOT.child(k))
                 assert row.tobytes() == np.stack([want.x1, want.x2]).tobytes(), (model, k)
@@ -375,7 +360,7 @@ class TestSamplerCorrelationAgreement:
         wm, em = _weak_mirror_explicit()
         sf = H.StrongFactorModel(H.MixtureParams(1.0, 1.0, 0.8, 1.0))
         for offset, model in ((0, wm), (10**6, sf), (2 * 10**6, em)):
-            x1, x2 = _sample_rows(model, n, range(offset, offset + reps)).swapaxes(0, 1)
+            x1, x2 = H.sample_rows(model, n, ROOT, range(offset, offset + reps)).swapaxes(0, 1)
             for lag in (0, 1, 2, 5, 10):
                 for (i, j), (a, b) in {
                     (1, 1): (x1, x1), (1, 2): (x1, x2), (2, 2): (x2, x2)

@@ -91,6 +91,11 @@ class TestCalibration:
         with pytest.raises(DomainError):
             H.rho0_from_lambda(3.0, 10)  # lam^2 = 9 > 2 ln 10
 
+    def test_lambda_whose_square_overflows_is_rejected(self):
+        # lam^2 is inf above about 1.3e154, where float ** would raise OverflowError
+        with pytest.raises(DomainError, match="lam\\^2=inf"):
+            H.rho0_from_lambda(1e200, 1000)
+
     def test_rho_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             H.lambda_from_rho0(1.5, 100)
@@ -108,6 +113,42 @@ class TestCalibration:
     @given(st.integers(min_value=2, max_value=10**6))
     def test_roundtrip_exact_at_zero(self, n):
         assert H.lambda_from_rho0(H.rho0_from_lambda(0.0, n), n).value == 0.0
+
+
+WEAK = H.WeakAR1Model(1.0, 0.5)
+MIX = H.MixtureParams(1.0, 1.0, 0.8, 1.0)
+# every count argument of the public API, each refused before any row is drawn
+COUNT_CALLS = {
+    "norming_constants": lambda v: H.norming_constants(v),
+    "rho0_from_lambda": lambda v: H.rho0_from_lambda(1.0, v),
+    "lambda_from_rho0": lambda v: H.lambda_from_rho0(0.5, v),
+    "induced_correlation-k": lambda v: H.induced_correlation(WEAK, 1, 2, v, 100),
+    "induced_correlation-n": lambda v: H.induced_correlation(WEAK, 1, 2, 1, v),
+    "sample_row": lambda v: H.sample_row(WEAK, v, 0),
+    "sample_rows": lambda v: H.sample_rows(WEAK, v, 0, range(3)),
+    "hr_sample": lambda v: H.hr_sample(1.0, v, 0),
+    "mixture_limit_mc": lambda v: H.mixture_limit_mc(MIX, 0.0, 0.0, v, 0),
+    "mixture_limit_cdf-nodes": lambda v: H.mixture_limit_cdf(MIX, 0.0, 0.0, nodes=v),
+    "empirical_max_law-n": lambda v: H.empirical_max_law(WEAK, v, 100, ([0.0], [0.0]), 0),
+    "empirical_max_law-R": lambda v: H.empirical_max_law(WEAK, 100, v, ([0.0], [0.0]), 0),
+    "empirical_maxmin_law-n": lambda v: H.empirical_maxmin_law(WEAK, v, 100, ([0.0],) * 4, 0),
+    "aslt_average": lambda v: H.aslt_average(WEAK, H.INDEPENDENT_ROWS, v, ((0.0, 0.0),), 0),
+    "comparison_bound_series": lambda v: H.comparison_bound_series(WEAK, "L1", 0.0, 0.0, [v]),
+    "aslt_bound_rate": lambda v: H.aslt_bound_rate(WEAK, H.INDEPENDENT_ROWS, 0.1, [v], 0.0, 0.0),
+    "validate_assumption": lambda v: H.validate_assumption(WEAK, "A1", [100, v], 0.1),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("call", COUNT_CALLS.values(), ids=COUNT_CALLS.keys())
+def test_non_finite_count_is_a_domain_error(monkeypatch, call, value):
+    # int() raises OverflowError on +-inf and ValueError on NaN
+    def no_draws(self):
+        raise AssertionError("a row was drawn")
+
+    monkeypatch.setattr(H.SeedLineage, "generator", no_draws)
+    with pytest.raises(DomainError, match="finite integer"):
+        call(value)
 
 
 class TestTailEquivalence:

@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hrlab as H
+from hrlab.errors import DomainError
+from hrlab.seeding import as_lineage
 
 TOP = 2**32 - 1  # the largest key that is one uint32 word
 
@@ -62,3 +64,11 @@ def test_words_are_a_cache_not_part_of_the_lineage():
         H.SeedLineage(11, (2,), words=child.words)
     with pytest.raises(ValueError):
         child.generator().bit_generator.seed_seq.generate_state(8)
+
+
+def test_negative_seed_is_refused_before_any_draw():
+    # numpy would refuse it only at the first draw, with a bare ValueError
+    with pytest.raises(DomainError, match="seed"):
+        as_lineage(-1)
+    with pytest.raises(DomainError, match="seed"):
+        H.sample_row(H.WeakAR1Model(1.0, 0.5), 50, -1)
