@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import cache
 from typing import NamedTuple
@@ -40,7 +41,7 @@ from .experiments import (
     sup_distance,
     univariate_mixture_cdf,
 )
-from .gauss_arrays import StrongFactorModel, WeakAR1Model
+from .gauss_arrays import StrongFactorModel, WeakAR1Model, _lfilter
 from .seeding import SeedLineage
 
 SEED_ENV_VAR = "HREXT_SEED"
@@ -51,7 +52,8 @@ GRID_MAX_POINTS = 201  # per axis: hr-eval tabulates count^2 rows
 NGRID_MAX = 10**8      # bound sums cost O(n) per grid entry
 # --n and --reps keep every array below 256 MB: a row of 2(n+1) float64
 # normals, and verify maxmin's (reps, 81) event matrices.  --seeds bounds the
-# run time of verify aslt, one path after another of up to ~1e10 normals each
+# run time of verify aslt, one path after another on each of its --workers
+# threads, of up to ~1e10 normals each
 COUNT_CAPS = {"n": 10**7, "reps": 10**6, "seeds": 100}
 
 
@@ -391,10 +393,20 @@ def cmd_verify_aslt(cfg: RunConfig, workers: int):
     mm_points = tuple((x, y, x, y) for x, y in points)
     tol = cfg.tol if cfg.tol is not None else 0.12
     root = SeedLineage(cfg.seed)
-    paths = [
-        aslt_average(model, coupling, cfg.nmax, points, root.child(s), maxmin_points=mm_points)
-        for s in range(cfg.seeds)
-    ]
+
+    def path(s):
+        return aslt_average(model, coupling, cfg.nmax, points, root.child(s),
+                            maxmin_points=mm_points)
+
+    # a path's draws and filter release the GIL, so paths share threads; map
+    # keeps seed order, so no byte depends on the schedule
+    threads = min(workers, cfg.seeds, os.cpu_count() or 1)
+    if threads <= 1:
+        paths = [path(s) for s in range(cfg.seeds)]
+    else:
+        _lfilter()  # its loader edits sys.modules, which two threads must not race on
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            paths = list(pool.map(path, range(cfg.seeds)))
     cps = paths[0].checkpoints
     targets = {
         "max": np.array([hr_cdf(cfg.lam, x, y) for x, y in points]),
@@ -510,7 +522,8 @@ COMMON = (
     _flag("--out", default=None, help="output path (default: stdout)"),
     _flag("--tol", type=_parse_real, default=None, help="override the pass threshold"),
     _flag("--workers", type=int, default=1,
-          help="worker processes (>= 1; the pool is capped at the CPU count)"),
+          help="workers (>= 1, capped at the CPU count): processes for the Monte "
+               "Carlo laws, threads for verify aslt's paths"),
 )
 
 

@@ -608,8 +608,10 @@ def comparison_bound_series(model: ArrayModel, kind: str, x: float, y: float,
     if kind not in ("L1", "L2"):
         raise DomainError(f"kind must be 'L1' or 'L2', got {kind!r}")
     n_grid = tuple(_count(n, "n_grid entry") for n in n_grid)
-    if not n_grid or any(n < 2 for n in n_grid):
-        raise DomainError("n_grid must be non-empty with entries >= 2")
+    if not n_grid:
+        raise DomainError("n_grid must be non-empty")
+    for n in n_grid:  # the sums read the model's correlations at row size n
+        model.validate_n(n)
     x, y = _thresholds(x, y)
     taus = None
     if kind == "L2":

@@ -122,8 +122,12 @@ class SeedLineage:
 
 
 def as_lineage(seed) -> SeedLineage:
-    """Coerce an int >= 0 or SeedLineage into a SeedLineage."""
+    """Coerce an int >= 0 or SeedLineage into a SeedLineage.  A lineage's
+    entropy and key are checked here, once a public call, and not in
+    ``child``, which runs once a row."""
     if isinstance(seed, SeedLineage):
+        if min((seed.entropy, *seed.key)) < 0:
+            raise DomainError(f"a seed lineage's entropy and key must be >= 0, got {seed}")
         return seed
     entropy = _count(seed, "seed")
     if entropy < 0:

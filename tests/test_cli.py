@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import threading
 import warnings
 from importlib import resources
 
@@ -293,11 +294,20 @@ class TestVerifyCommands:
              "--reps", "1000001"),
             ("verify", "aslt", "--lambda", "1", "--phi", "0.5", "--nmax", "1000",
              "--seeds", "101"),
+            # bound-sum rows below min_n(): 5 for the strong model, 91 for the
+            # weak model at lambda 3
+            ("verify", "bounds", "--kind", "L1", "--lambda", "1", "--tau", "1,1,0.8",
+             "--ngrid", "2,1000"),
+            ("verify", "bounds", "--kind", "L2", "--lambda", "1", "--tau", "1,1,0.8",
+             "--ngrid", "2,3,1000"),
+            ("verify", "bounds", "--kind", "rate", "--lambda", "3", "--phi", "0.5",
+             "--ngrid", "16,1000"),
         ],
         ids=["nodes-0", "seeds-0", "seeds-1", "workers-0", "workers-negative",
              "aslt-lambda-40", "points-101", "aslt-nmax-1343", "nodes-151", "nodes-1024", "nodes-1025", "nodes-7", "nodes-2000",
              "n-above-cap", "n-1e9-two-workers", "strong-n-above-cap", "reps-above-cap",
-             "seeds-above-cap"],
+             "seeds-above-cap", "bounds-L1-below-min-n", "bounds-L2-below-min-n",
+             "bounds-rate-below-min-n"],
     )
     def test_out_of_range_count_is_exit_2(self, capsys, monkeypatch, args):
         # refused before any row is drawn
@@ -418,6 +428,27 @@ class TestVerifyCommands:
         ns = cli.build_parser().parse_args(
             ["verify", "bounds", "--lambda", "1", "--phi", "0.5", "--ngrid", "1e8"])
         assert ns.n_grid == (10**8,)
+
+    def test_aslt_refusal_in_a_path_thread_is_exit_2(self, capsys):
+        # c = 0.3 against rho_0(2) = -0.44 at lambda 1: each path refuses in
+        # its own thread, and the caller sees the first
+        code, out, err = run_cli(
+            capsys, "verify", "aslt", "--lambda", "1", "--phi", "0.5", "--nmax", "1000",
+            "--seeds", "2", "--coupling", "shared:0.3", "--workers", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: shared coupling") and err.count("\n") == 1
+
+    def test_aslt_path_threads_end_with_the_command(self, capsys):
+        # a later command in the same process may fork its pool, and no
+        # thread may be alive at that fork
+        before = threading.active_count()
+        code, _, err = run_cli(
+            capsys, "verify", "aslt", "--lambda", "1", "--phi", "0.5", "--nmax", "1000",
+            "--seeds", "3", "--points", "1,1", "--seed", "4", "--workers", "2",
+        )
+        assert code in (0, 1), err
+        assert threading.active_count() == before
 
     def test_aslt_starts_at_its_own_min_n(self, capsys):
         # lam^2/2 lies just above ln 7, so the first row is n = 8; a rule that

@@ -605,6 +605,19 @@ class TestBoundSeries:
         assert all(v > 0.0 for v in rep.cross_row.values)
         assert all(b < a for a, b in zip(rep.cross_row.values, rep.cross_row.values[1:]))
 
+    def test_row_size_below_the_model_min_n_is_refused(self):
+        # tau11 / ln n > 1 below n = 5, and rho_0(n) < -1 below n = 91 at
+        # lambda 3: the sums would read correlations no row of that size has
+        strong = H.StrongFactorModel(H.MixtureParams(1.0, 1.0, 0.8, 1.0))
+        for kind in ("L1", "L2"):
+            with pytest.raises(DomainError, match="row size must be >= 5"):
+                H.comparison_bound_series(strong, kind, 3.0, 3.0, (4, 1000))
+            H.comparison_bound_series(strong, kind, 3.0, 3.0, (5, 1000))
+        weak = H.WeakAR1Model(3.0, 0.5)
+        with pytest.raises(DomainError, match="row size must be >= 91"):
+            H.aslt_bound_rate(weak, H.INDEPENDENT_ROWS, 0.1, (90, 1000), 3.0, 3.0)
+        H.aslt_bound_rate(weak, H.INDEPENDENT_ROWS, 0.1, (91, 1000), 3.0, 3.0)
+
     def test_rate_grid_floor(self):
         with pytest.raises(DomainError):
             H.aslt_bound_rate(H.WeakAR1Model(1.0, 0.5), H.INDEPENDENT_ROWS, 0.1, (8, 100), 3.0, 3.0)

@@ -72,3 +72,20 @@ def test_negative_seed_is_refused_before_any_draw():
         as_lineage(-1)
     with pytest.raises(DomainError, match="seed"):
         H.sample_row(H.WeakAR1Model(1.0, 0.5), 50, -1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda m: H.sample_row(m, 50, H.SeedLineage(-1)),
+     lambda m: H.sample_row(m, 50, H.SeedLineage(0).child(-2)),
+     lambda m: H.sample_rows(m, 50, H.SeedLineage(-1), [1])],
+    ids=["sample_row-entropy", "sample_row-key", "sample_rows-entropy"],
+)
+def test_negative_lineage_is_refused_at_the_public_call(monkeypatch, call):
+    # numpy would refuse it only at the first draw, with a bare ValueError
+    def no_draws(self):
+        raise AssertionError("a row was drawn")
+
+    monkeypatch.setattr(H.SeedLineage, "generator", no_draws)
+    with pytest.raises(DomainError, match="lineage's entropy and key must be >= 0"):
+        call(H.WeakAR1Model(1.0, 0.5))
