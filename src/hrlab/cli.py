@@ -46,8 +46,6 @@ from .seeding import SeedLineage
 
 SEED_ENV_VAR = "HREXT_SEED"
 
-_TUPLE_FIELDS = ("tau", "n_grid", "grid", "grid4", "points")
-
 GRID_MAX_POINTS = 201  # per axis: hr-eval tabulates count^2 rows
 NGRID_MAX = 10**8      # bound sums cost O(n) per grid entry
 # --n and --reps keep every array below 256 MB: a row of 2(n+1) float64
@@ -59,7 +57,7 @@ COUNT_CAPS = {"n": 10**7, "reps": 10**6, "seeds": 100}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run parameters; round-trips losslessly through to_dict."""
+    """Fully resolved run parameters, echoed into every report by to_dict."""
 
     command: str
     seed: int
@@ -86,18 +84,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        coerced = dict(data)
-        for name in _TUPLE_FIELDS:
-            if coerced.get(name) is not None:
-                val = coerced[name]
-                if name == "points":
-                    coerced[name] = tuple(tuple(p) for p in val)
-                else:
-                    coerced[name] = tuple(val)
-        return cls(**coerced)
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +386,9 @@ def cmd_verify_aslt(cfg: RunConfig, workers: int):
 
     # a path's draws and filter release the GIL, so paths share threads; map
     # keeps seed order, so no byte depends on the schedule
-    threads = min(workers, cfg.seeds, os.cpu_count() or 1)
-    if threads <= 1:
-        paths = [path(s) for s in range(cfg.seeds)]
-    else:
-        _lfilter()  # its loader edits sys.modules, which two threads must not race on
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            paths = list(pool.map(path, range(cfg.seeds)))
+    _lfilter()  # its loader edits sys.modules, which two threads must not race on
+    with ThreadPoolExecutor(max_workers=min(workers, cfg.seeds, os.cpu_count() or 1)) as pool:
+        paths = list(pool.map(path, range(cfg.seeds)))
     cps = paths[0].checkpoints
     targets = {
         "max": np.array([hr_cdf(cfg.lam, x, y) for x, y in points]),

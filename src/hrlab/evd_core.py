@@ -186,27 +186,41 @@ def hr_exponent(lam, x, y):
     Where e^-x or e^-y overflows, V is +inf.
     """
     p = as_param(lam)
+    if not (p.is_zero or p.is_inf):
+        return _maybe_scalar(_finite_exponent(p.value, x, y)[1])
+    with np.errstate(over="ignore"):
+        ex = np.exp(-np.asarray(x, dtype=float))
+        ey = np.exp(-np.asarray(y, dtype=float))
+        return _maybe_scalar(np.maximum(ex, ey) if p.is_zero else ex + ey)
+
+
+def _exponent_rows(lam, x, y, ex, work):
+    """Phi(b) and V of the finite branch, given ex = e^-x, worked in the rows
+    of ``work`` (4, *shape): q = (y - x)/(2 lam), 0 where x == y (also at
+    +-inf); b = lam + q; V = Phi(lam - q) e^-y + Phi(b) e^-x, where
+    Phi(lam - q) is Phi(lam + (x - y)/(2 lam)) since x - y == -(y - x)
+    exactly.  Returns the views (Phi(b), V); row 3 keeps e^-y."""
+    q, phi_b, v, ey = (work[i, ...] for i in range(4))  # views, also when work is (4,)
+    np.subtract(y, x, out=q)
+    np.copyto(q, 0.0, where=np.equal(x, y))
+    q /= 2.0 * lam
+    std_normal_cdf(np.add(lam, q, out=phi_b), out=phi_b)
+    std_normal_cdf(np.subtract(lam, q, out=v), out=v)
+    v *= np.exp(np.negative(y, out=ey), out=ey)
+    v += np.multiply(phi_b, ex, out=q)
+    return phi_b, v
+
+
+def _finite_exponent(lam, x, y):
+    """(Phi(b), V, e^-x) of the finite branch; V is +inf where e^-x or e^-y overflows."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    with np.errstate(over="ignore"):
+    work = np.empty((4, *np.broadcast_shapes(x.shape, y.shape)))
+    # x == y at +-inf is inf - inf; a Phi underflowing to 0 meets an inf e^-x or e^-y as 0 * inf
+    with np.errstate(over="ignore", invalid="ignore"):
         ex = np.exp(-x)
-        ey = np.exp(-y)
-        if p.is_zero:
-            out = np.maximum(ex, ey)
-        elif p.is_inf:
-            out = ex + ey
-        else:
-            lv = p.value
-            # x == y (also at +-inf) gives a difference of exactly 0
-            with np.errstate(invalid="ignore"):
-                d = np.where(x == y, 0.0, x - y)
-            t = d / (2.0 * lv)
-            # a Gaussian factor that underflows to 0 would meet an infinite
-            # e^-x or e^-y as 0 * inf
-            with np.errstate(invalid="ignore"):
-                out = std_normal_cdf(lv + t) * ey + std_normal_cdf(lv - t) * ex
-            out = np.where(np.isinf(ex) | np.isinf(ey), np.inf, out)
-    return _maybe_scalar(out)
+        phi_b, v = _exponent_rows(lam, x, y, ex, work)
+    return phi_b, np.where(np.isinf(ex) | np.isinf(work[3]), np.inf, v), ex
 
 
 def hr_cdf(lam, x, y):
@@ -229,14 +243,10 @@ def hr_cdf_dx(lam, x, y):
     p = as_param(lam)
     if p.is_zero or p.is_inf:
         raise DomainError("hr_cdf_dx is defined on the finite parameter branch only")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    with np.errstate(invalid="ignore"):
-        d = np.where(x == y, 0.0, y - x)
-    b = p.value + d / (2.0 * p.value)
-    h = np.asarray(hr_cdf(p, x, y))
+    phi_b, v, ex = _finite_exponent(p.value, x, y)
+    h = np.exp(-v)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = h * std_normal_cdf(b) * np.exp(-x)
+        out = h * phi_b * ex
     return _maybe_scalar(np.where(h == 0.0, 0.0, out))
 
 
@@ -266,25 +276,15 @@ def hr_copula(lam, u, v):
 
 
 def _cond_cdf(lam, x, y, ex, out=None, work=None):
-    # P(Y <= y | X = x) = dH/dx(x, y) / dH/dx(x, +inf)
-    #                   = exp(e^-x - V(x, y)) * Phi(lam + (y-x)/(2 lam)),
-    # with ex = e^-x.  V is hr_exponent's finite branch in its operation order:
-    # its Phi(lam - (x-y)/(2 lam)) is the same float as Phi(b), since
-    # x - y == -(y - x) exactly.  The steps run in the four rows of ``work``
-    # and the result goes to ``out``; both are allocated when not given
+    # P(Y <= y | X = x) = dH/dx(x, y) / dH/dx(x, +inf) = exp(e^-x - V(x, y)) * Phi(b),
+    # with ex = e^-x.  Phi(b) and V come from _exponent_rows in the rows of
+    # ``work``, the result goes to ``out``; both are allocated when not given
     if work is None:
         work = np.empty((4, *np.broadcast_shapes(np.shape(x), np.shape(y))))
-    q, phi_b, v, e = work
-    np.subtract(y, x, out=q)
-    np.copyto(q, 0.0, where=np.equal(x, y))
-    q /= 2.0 * lam
-    std_normal_cdf(np.add(lam, q, out=phi_b), out=phi_b)
     with np.errstate(over="ignore"):
-        std_normal_cdf(np.subtract(lam, q, out=v), out=v)
-        v *= np.exp(np.negative(y, out=e), out=e)
-        v += np.multiply(phi_b, ex, out=e)
-        np.exp(np.subtract(ex, v, out=e), out=e)
-        return np.multiply(e, phi_b, out=out)
+        phi_b, v = _exponent_rows(lam, x, y, ex, work)
+        np.exp(np.subtract(ex, v, out=v), out=v)
+        return np.multiply(v, phi_b, out=out)
 
 
 _UNIT_LO = 2.0**-53

@@ -59,6 +59,7 @@ def _as_axis(values, name):
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError(f"{name} must be a non-empty 1-d grid")
+    _thresholds(*arr)  # refuses NaN, keeps +-inf
     if np.any(np.diff(arr) <= 0):
         raise DomainError(f"{name} must be strictly increasing")
     return arr
@@ -339,8 +340,10 @@ def univariate_mixture_cdf(tau11: float, x: float, nodes: int = 128) -> float:
 def mixture_limit_mc(mp: MixtureParams, x: float, y: float, draws: int, seed):
     """Monte Carlo oracle for mixture_limit_cdf using exact (Z, W) draws.
 
-    Returns (estimate, standard_error); the error needs ``draws`` >= 2.
+    Returns (estimate, standard_error); the error needs ``draws`` >= 2.  A
+    NaN x or y is refused, as by mixture_limit_cdf.
     """
+    x, y = _thresholds(x, y)
     draws = _count(draws, "draws")
     if draws < 2:
         raise DomainError(f"draws must be >= 2, got {draws}")
@@ -457,8 +460,8 @@ def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed
         raise DomainError(f"n_max must be >= 1000, got {n_max}")
     if n_max > ASLT_HARD_CAP:
         raise DomainError(f"n_max={n_max} exceeds the cost guard {ASLT_HARD_CAP}")
-    points = tuple((float(x), float(y)) for x, y in points)
-    maxmin_points = tuple(tuple(float(v) for v in q) for q in maxmin_points)
+    points = tuple(_thresholds(x, y) for x, y in points)
+    maxmin_points = tuple(_thresholds(*q) for q in maxmin_points)
     if any(len(q) != 4 for q in maxmin_points):
         raise DomainError("maxmin points must be (x1, x2, y1, y2) tuples")
     if max(len(points), len(maxmin_points)) > ASLT_MAX_POINTS:
@@ -712,11 +715,18 @@ def aslt_bound_rate(model: ArrayModel, cross_row: Coupling, epsilon: float,
     "bounded" holds when the ratio sequence attains its maximum on the first
     half of the grid."""
     epsilon = float(epsilon)
-    if epsilon <= 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:  # NaN too
+        raise DomainError(f"epsilon must be a positive finite real, got {epsilon}")
     n_grid = tuple(_count(n, "n_grid entry") for n in n_grid)
     if not n_grid or any(n < 16 for n in n_grid):
         raise DomainError("n_grid entries must be >= 16 so that ln ln n > 1")
+    rate = []
+    for n in n_grid:  # float ** raises OverflowError where numpy would give inf
+        try:
+            rate.append(math.log(math.log(n)) ** (1.0 + epsilon))
+        except OverflowError:
+            raise DomainError(f"(ln ln n)^(1+epsilon) overflows at epsilon={epsilon:g}, "
+                              f"n={n}") from None
     x, y = _thresholds(x, y)
 
     within = comparison_bound_series(model, "L1", x, y, n_grid)
@@ -731,7 +741,6 @@ def aslt_bound_rate(model: ArrayModel, cross_row: Coupling, epsilon: float,
         cross_vals = tuple(0.0 for _ in n_grid)
     cross = BoundSeries(n_grid=n_grid, values=cross_vals, omega_rule=within.omega_rule)
 
-    rate = tuple(math.log(math.log(n)) ** (1.0 + epsilon) for n in n_grid)
     ratios = tuple(v * r for v, r in zip(within.values, rate))
     first_half = ratios[: (len(ratios) + 1) // 2]
     bounded = max(ratios) <= max(first_half) + 1e-300

@@ -14,7 +14,7 @@ import pytest
 
 import hrlab as H
 from hrlab import cli
-from hrlab.cli import RunConfig, main
+from hrlab.cli import main
 
 
 def run_cli(capsys, *args):
@@ -104,27 +104,6 @@ class TestHrEval:
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
-
-
-class TestRunConfig:
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            RunConfig(command="hr-eval", seed=7, lam=1.5, grid=(-2.0, 4.0, 9)),
-            RunConfig(command="hr-eval", seed=0, lam=math.inf, grid=(0.0, 0.0, 1)),
-            RunConfig(
-                command="verify-strong", seed=3, lam=1.0, tau=(1.0, 1.0, 0.8),
-                n=2000, reps=500, grid=(-2.0, 4.0, 9), nodes=64, format="json",
-            ),
-            RunConfig(
-                command="verify-aslt", seed=1, lam=1.0, phi=0.5, nmax=2000,
-                seeds=3, points=((0.0, 0.0), (1.0, 1.0)), coupling="shared:0.25",
-            ),
-        ],
-    )
-    def test_lossless_roundtrip_through_json(self, cfg):
-        wire = json.dumps(cfg.to_dict(), sort_keys=True)
-        assert RunConfig.from_dict(json.loads(wire)) == cfg
 
 
 class TestVerifyCommands:
@@ -302,12 +281,19 @@ class TestVerifyCommands:
              "--ngrid", "2,3,1000"),
             ("verify", "bounds", "--kind", "rate", "--lambda", "3", "--phi", "0.5",
              "--ngrid", "16,1000"),
+            # (ln ln n)^(1+epsilon) overflows a float at the last grid entry
+            ("verify", "bounds", "--kind", "rate", "--lambda", "1", "--phi", "0.5",
+             "--epsilon", "1e3", "--ngrid", "1e3,1e6"),
+            ("verify", "bounds", "--kind", "rate", "--lambda", "1", "--phi", "0.5",
+             "--epsilon", "700", "--ngrid", "1e8"),
+            ("verify", "bounds", "--kind", "L2", "--lambda", "1", "--ngrid", "1e3"),
         ],
         ids=["nodes-0", "seeds-0", "seeds-1", "workers-0", "workers-negative",
              "aslt-lambda-40", "points-101", "aslt-nmax-1343", "nodes-151", "nodes-1024", "nodes-1025", "nodes-7", "nodes-2000",
              "n-above-cap", "n-1e9-two-workers", "strong-n-above-cap", "reps-above-cap",
              "seeds-above-cap", "bounds-L1-below-min-n", "bounds-L2-below-min-n",
-             "bounds-rate-below-min-n"],
+             "bounds-rate-below-min-n", "epsilon-1e3-rate-overflows",
+             "epsilon-700-rate-overflows", "bounds-L2-without-tau"],
     )
     def test_out_of_range_count_is_exit_2(self, capsys, monkeypatch, args):
         # refused before any row is drawn
@@ -377,11 +363,20 @@ class TestVerifyCommands:
             ("verify", "bounds", "--lambda", "1", "--phi", "0.5", "--ngrid", "1e3,1e12"),
             ("verify", "weak", "--lambda", "1", "--phi", "0.3", "--n", "200", "--reps", "100",
              "--seed", "-1"),
+            ("verify", "bounds", "--kind", "rate", "--lambda", "1", "--phi", "0.5",
+             "--ngrid", "1e3", "--coupling", "shared:x"),
+            ("verify", "aslt", "--lambda", "1", "--phi", "0.5", "--coupling", "ring:0.3"),
+            ("verify", "strong", "--lambda", "1", "--tau", "1,1"),
+            ("verify", "aslt", "--lambda", "1", "--phi", "0.5", "--points", "0,0;1,1,1"),
+            ("hr-eval", "--lambda", "1", "--grid", "0:0", "--seed", "abc"),
+            ("hr-eval", "--lambda", "1", "--grid", "0:1:x"),
         ],
         ids=["x-nan", "y-neg-inf", "epsilon-inf", "phi-nan", "tol-nan", "marginal-tol-inf",
              "tau-nan", "grid4-inf", "points-nan", "grid-lo-nan", "grid-hi-inf",
              "grid-count-1e8", "grid-repeated-point", "weak-grid-repeated-point", "ngrid-inf",
-             "ngrid-1e12", "seed-negative"],
+             "ngrid-1e12", "seed-negative", "coupling-malformed-c", "coupling-unknown-kind",
+             "tau-two-entries", "points-three-values", "seed-not-an-integer",
+             "grid-count-not-an-integer"],
     )
     def test_non_finite_or_oversized_flag_is_usage_error(self, capsys, args):
         # argparse rejects the value before any work: exit 2 and a usage

@@ -42,6 +42,8 @@ class TestEmpiricalMaxLaw:
             H.empirical_max_law(
                 H.WeakAR1Model(1.0, 0.0), 100, 100, (np.array([1.0, 1.0]), grid()), 1
             )
+        with pytest.raises(DomainError, match="non-empty"):
+            H.empirical_max_law(H.WeakAR1Model(1.0, 0.0), 100, 100, ([], grid()), 1)
 
     def test_cdf_axioms_and_determinism(self):
         m = H.WeakAR1Model(1.0, 0.3)
@@ -227,7 +229,13 @@ class TestMixtureQuadrature:
         lambda: H.univariate_mixture_cdf(math.nan, 0.0),
         lambda: H.univariate_mixture_cdf(1.0, math.nan),
         lambda: H.univariate_mixture_cdf(math.inf, 0.0),
-    ], ids=["mixture-x", "univariate-tau11", "univariate-x", "univariate-tau11-inf"])
+        lambda: H.mixture_limit_mc(H.MixtureParams(1.0, 1.0, 0.8, 1.0), math.nan, 0.0, 100, 0),
+        lambda: H.empirical_max_law(H.WeakAR1Model(1.0, 0.0), 100, 100,
+                                    ([0.0, math.nan], [0.0, 1.0]), 0),
+        lambda: H.aslt_average(H.WeakAR1Model(1.0, 0.5), H.INDEPENDENT_ROWS, 1000,
+                               ((math.nan, 0.0),), 0),
+    ], ids=["mixture-x", "univariate-tau11", "univariate-x", "univariate-tau11-inf",
+            "mixture-mc-x", "empirical-grid", "aslt-point"])
     def test_nan_argument_or_infinite_tau11_is_refused(self, call):
         # the [0, 1] clamp would turn a NaN estimate into 0.0; an infinite
         # tau11 gives NaN terms, and MixtureParams refuses it too
@@ -322,6 +330,10 @@ class TestAsltAverage:
         sf = H.StrongFactorModel(H.MixtureParams(1.0, 1.0, 0.8, 1.0))
         with pytest.raises(DomainError):
             H.aslt_average(sf, H.INDEPENDENT_ROWS, 2000, ((0.0, 0.0),), 1)
+        with pytest.raises(DomainError, match="maxmin points"):
+            H.aslt_average(m, H.INDEPENDENT_ROWS, 2000, (), 1, maxmin_points=((0.0, 0.0, 1.0),))
+        with pytest.raises(DomainError, match="coupling kind"):
+            H.Coupling("other")
 
     def test_comonotone_indicators_coincide(self):
         # identical components: the event only depends on min(x, y)
@@ -587,6 +599,10 @@ class TestBoundSeries:
     def test_l2_requires_tau_model(self):
         with pytest.raises(DomainError):
             H.comparison_bound_series(H.WeakAR1Model(1.0, 0.5), "L2", 0.0, 0.0, (100,))
+        with pytest.raises(DomainError, match="kind"):
+            H.comparison_bound_series(H.WeakAR1Model(1.0, 0.5), "L3", 0.0, 0.0, (100,))
+        with pytest.raises(DomainError, match="non-empty"):
+            H.comparison_bound_series(H.WeakAR1Model(1.0, 0.5), "L1", 0.0, 0.0, ())
 
     def test_rate_report(self):
         m = H.WeakAR1Model(1.0, 0.5)
@@ -621,6 +637,15 @@ class TestBoundSeries:
     def test_rate_grid_floor(self):
         with pytest.raises(DomainError):
             H.aslt_bound_rate(H.WeakAR1Model(1.0, 0.5), H.INDEPENDENT_ROWS, 0.1, (8, 100), 3.0, 3.0)
+        strong = H.StrongFactorModel(H.MixtureParams(1.0, 1.0, 0.8, 1.0))
+        with pytest.raises(DomainError, match="AR\\(1\\)"):
+            H.aslt_bound_rate(strong, H.shared_innovations(0.2), 0.1, (100,), 3.0, 3.0)
+        # NaN, inf, and an epsilon whose rate (ln ln n)^(1+epsilon) overflows at n = 1e6
+        for eps, match in ((math.nan, "epsilon"), (math.inf, "epsilon"),
+                           (1e3, "epsilon=1000, n=1000000")):
+            with pytest.raises(DomainError, match=match):
+                H.aslt_bound_rate(H.WeakAR1Model(1.0, 0.5), H.INDEPENDENT_ROWS, eps,
+                                  (1000, 10**6), 3.0, 3.0)
 
     @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.nan)])
     def test_nan_threshold_is_refused(self, x, y):

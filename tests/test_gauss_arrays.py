@@ -452,6 +452,10 @@ class TestAssumptionValidators:
             H.validate_assumption(model, "A1", self.GRID, 0.5)  # > (1-.5)/(1+.5)
         with pytest.raises(DomainError):
             H.validate_assumption(model, "A1", self.GRID, 0.0)
+        # a lag correlation of 1 leaves no admissible alpha
+        ones = H.ExplicitModel(lambda n: 0.0, lambda i, j, k, n: 1.0)
+        with pytest.raises(DomainError, match="below 1"):
+            H.validate_assumption(ones, "A1", (100, 200), 0.1)
 
     def test_grid_validation(self):
         model = H.WeakAR1Model(1.0, 0.5)
@@ -463,6 +467,8 @@ class TestAssumptionValidators:
     def test_a2_requires_taus(self):
         with pytest.raises(DomainError):
             H.validate_assumption(H.WeakAR1Model(1.0, 0.5), "A2", (100, 1000), 0.1)
+        with pytest.raises(DomainError, match="'A1' or 'A2'"):
+            H.validate_assumption(H.WeakAR1Model(1.0, 0.5), "A3", (100, 1000), 0.1)
 
     @staticmethod
     def _pair_maxes(model, which, n, cut, tau=None):

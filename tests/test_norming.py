@@ -90,6 +90,8 @@ class TestCalibration:
     def test_too_large_lambda_rejected(self):
         with pytest.raises(DomainError):
             H.rho0_from_lambda(3.0, 10)  # lam^2 = 9 > 2 ln 10
+        with pytest.raises(DomainError, match="row size"):
+            H.rho0_from_lambda(1.0, 1)  # ln 1 = 0
 
     def test_lambda_whose_square_overflows_is_rejected(self):
         # lam^2 is inf above about 1.3e154, where float ** would raise OverflowError
@@ -101,6 +103,8 @@ class TestCalibration:
             H.lambda_from_rho0(1.5, 100)
         with pytest.raises(DomainError):
             H.lambda_from_rho0(-1.01, 100)
+        with pytest.raises(DomainError, match="row size"):
+            H.lambda_from_rho0(0.5, 1)
 
     @given(st.integers(min_value=2, max_value=10**6), st.floats(0.01, 1.0))
     def test_roundtrip(self, n, frac):
