@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, HrlabError
+from .errors import DomainError, HrlabError, _count
 from .evd_core import MixtureParams, as_param, hr_cdf, hr_exponent
 from .experiments import (
     Coupling,
@@ -91,11 +91,8 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def _parse_lambda(text: str) -> float:
-    t = text.strip().lower()
-    if t in ("inf", "infinity", "+inf"):
-        return math.inf
     try:
-        value = float(t)
+        value = float(text)  # reads inf, Infinity, +INF and padded text too
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"invalid dependence parameter {text!r}") from exc
     if math.isnan(value) or value < 0.0:
@@ -147,10 +144,11 @@ def _parse_tau(text: str) -> tuple[float, float, float]:
 
 
 def _parse_ngrid(text: str) -> tuple[int, ...]:
-    sizes = tuple(int(v) for v in _parse_floats(text))  # finite, so int() cannot overflow
-    if max(sizes) > NGRID_MAX:
-        raise argparse.ArgumentTypeError(f"ngrid entries must be <= {NGRID_MAX:.0e}, got {text!r}")
-    return sizes
+    try:
+        return tuple(_count(v, "ngrid entry", most=NGRID_MAX) for v in _parse_floats(text))
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(
+            f"ngrid entries must be integers <= {NGRID_MAX:.0e}, got {text!r}") from exc
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:

@@ -22,10 +22,19 @@ class ModelError(HrlabError, RuntimeError):
         self.minor_index = minor_index
 
 
-def _count(value, name):
-    """``value`` as ``int(value)`` gives it; where ``int`` fails (an inf or NaN
-    count) the refusal is a DomainError."""
+def _count(value, name, least=None, most=None):
+    """``value`` as an int, the one count rule of the package: an inf, NaN or
+    non-integral value (2.5, or a string of digits) is refused with a
+    DomainError, and so is an integer below ``least`` or above ``most`` where
+    that bound is given."""
     try:
-        return int(value)
+        n = int(value)
     except (OverflowError, ValueError):
-        raise DomainError(f"{name} must be a finite integer, got {value}") from None
+        n = None
+    if n is None or n != value:
+        raise DomainError(f"{name} must be a finite integer, got {value}")
+    if (least is not None and n < least) or (most is not None and n > most):
+        rule = (f"be >= {least}" if most is None else f"be <= {most}" if least is None
+                else f"lie in [{least}, {most}]")
+        raise DomainError(f"{name} must {rule}, got {n}")
+    return n

@@ -354,9 +354,7 @@ def hr_sample(lam, count, seed):
     determinism contract.
     """
     p = as_param(lam)
-    count = _count(count, "count")
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    count = _count(count, "count", 1)
     rng = as_lineage(seed).generator()
     u1 = np.clip(rng.random(count), _UNIT_LO, _UNIT_HI)
     u2 = np.clip(rng.random(count), _UNIT_LO, _UNIT_HI)

@@ -55,14 +55,19 @@ class EmpiricalLaw4D:
     prob: np.ndarray           # shape (len x1, len x2, len y1, len y2)
 
 
-def _as_axis(values, name):
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError(f"{name} must be a non-empty 1-d grid")
-    _thresholds(*arr)  # refuses NaN, keeps +-inf
-    if np.any(np.diff(arr) <= 0):
-        raise DomainError(f"{name} must be strictly increasing")
-    return arr
+def _axes(grid, name, count):
+    """The ``count`` axes of ``grid`` as float arrays, each non-empty, 1-d and
+    strictly increasing; NaN is refused, +-inf kept."""
+    if len(grid) != count:
+        raise DomainError(f"{name} must have {count} axes, got {len(grid)}")
+    axes = tuple(np.asarray(a, dtype=float) for a in grid)
+    for i, arr in enumerate(axes):
+        if arr.ndim != 1 or arr.size == 0:
+            raise DomainError(f"{name}[{i}] must be a non-empty 1-d grid")
+        _thresholds(*arr)
+        if np.any(np.diff(arr) <= 0):
+            raise DomainError(f"{name}[{i}] must be strictly increasing")
+    return axes
 
 
 _BLOCK = 1024  # child streams hashed per ``SeedLineage.children`` call
@@ -153,11 +158,8 @@ def _extremes(model, lineage, keys, sizes):
 def sample_rows(model: ArrayModel, n: int, seed, keys) -> np.ndarray:
     """(len(keys), 2, n): row i is ``sample_row(model, n, lineage.child(keys[i]))``
     to the byte, for the lineage of ``seed``; keys must be >= 0."""
-    lineage, n = as_lineage(seed), _count(n, "row size")
-    model.validate_n(n)
-    keys = [_count(k, "key") for k in keys]
-    if min(keys, default=0) < 0:
-        raise DomainError(f"keys must be integers >= 0, got {min(keys)}")
+    lineage, n = as_lineage(seed), model.validate_n(n)
+    keys = [_count(k, "keys", 0) for k in keys]
     rows = np.empty((len(keys), 2, n))
     for lo, hi, x in _row_blocks(model, lineage, keys, np.full(len(keys), n)):
         rows[lo:hi] = x
@@ -173,9 +175,6 @@ def _hits(ext, x1, x2, y1, y2):
 
 def _all_extremes(model, n, lineage, total, workers):
     """The (total, 4) extremes of replications 0..total-1, in order."""
-    if total < 100:
-        raise DomainError(f"at least 100 replications required, got {total}")
-    model.validate_n(n)
     if workers <= 1:
         return _extremes(model, lineage, range(total), np.full(total, n))
     # chunks follow ``workers`` so results do not depend on the machine; the
@@ -206,9 +205,8 @@ def empirical_max_law(model: ArrayModel, n: int, R: int, grid, seed,
     Counts are integers taken in the parent over every replication's extremes,
     so the result is identical for any worker count.
     """
-    n, R = _count(n, "row size"), _count(R, "replications")
-    gx = _as_axis(grid[0], "grid_x")
-    gy = _as_axis(grid[1], "grid_y")
+    n, R = model.validate_n(n), _count(R, "replications", 100)
+    gx, gy = _axes(grid, "grid", 2)
     ext = _all_extremes(model, n, as_lineage(seed), R, workers)
     corner = np.zeros((gx.size + 1, gy.size + 1), dtype=np.int64)
     np.add.at(corner, (np.searchsorted(gx, ext[:, 0]), np.searchsorted(gy, ext[:, 1])), 1)
@@ -221,8 +219,8 @@ def empirical_maxmin_law(model: ArrayModel, n: int, R: int, grid4, seed,
     """Empirical probabilities of the four-sided event
     -u_n(y1) < m1 <= M1 <= u_n(x1), -u_n(y2) < m2 <= M2 <= u_n(x2)
     on a small 4-d grid (at most 3 points per axis)."""
-    n, R = _count(n, "row size"), _count(R, "replications")
-    axes = tuple(_as_axis(a, f"grid4[{i}]") for i, a in enumerate(grid4))
+    n, R = model.validate_n(n), _count(R, "replications", 100)
+    axes = _axes(grid4, "grid4", 4)
     if any(a.size > 3 for a in axes):
         raise DomainError("grid4 axes are capped at 3 points each (cost guard)")
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -252,10 +250,7 @@ QUAD_MAX_NODES = 150  # the most nodes _roots_hermite solves to roots_hermite's 
 
 def _quad_nodes(nodes) -> int:
     """``nodes`` as an int; a node count outside [8, QUAD_MAX_NODES] is refused."""
-    nodes = _count(nodes, "quadrature nodes")
-    if not 8 <= nodes <= QUAD_MAX_NODES:
-        raise DomainError(f"quadrature nodes must lie in [8, {QUAD_MAX_NODES}], got {nodes}")
-    return nodes
+    return _count(nodes, "quadrature nodes", 8, QUAD_MAX_NODES)
 
 
 def _hermite(n, x):
@@ -344,9 +339,7 @@ def mixture_limit_mc(mp: MixtureParams, x: float, y: float, draws: int, seed):
     NaN x or y is refused, as by mixture_limit_cdf.
     """
     x, y = _thresholds(x, y)
-    draws = _count(draws, "draws")
-    if draws < 2:
-        raise DomainError(f"draws must be >= 2, got {draws}")
+    draws = _count(draws, "draws", 2)
     rng = as_lineage(seed).generator()
     z, w = _pair(rng.standard_normal((2, draws)), mp.rho_zw)
     vals = hr_cdf(
@@ -455,15 +448,11 @@ def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed
     """
     if not isinstance(model, WeakAR1Model):
         raise DomainError("ASLT paths are implemented for the weak-dependence AR(1) model")
-    n_max = _count(n_max, "n_max")
-    if n_max < 1000:
-        raise DomainError(f"n_max must be >= 1000, got {n_max}")
-    if n_max > ASLT_HARD_CAP:
-        raise DomainError(f"n_max={n_max} exceeds the cost guard {ASLT_HARD_CAP}")
-    points = tuple(_thresholds(x, y) for x, y in points)
+    n_max = _count(n_max, "n_max", 1000, ASLT_HARD_CAP)
+    points = tuple(_thresholds(*p) for p in points)
     maxmin_points = tuple(_thresholds(*q) for q in maxmin_points)
-    if any(len(q) != 4 for q in maxmin_points):
-        raise DomainError("maxmin points must be (x1, x2, y1, y2) tuples")
+    if any(len(p) != 2 for p in points) or any(len(q) != 4 for q in maxmin_points):
+        raise DomainError("points must be (x, y) and maxmin points (x1, x2, y1, y2) tuples")
     if max(len(points), len(maxmin_points)) > ASLT_MAX_POINTS:
         raise DomainError(f"at most {ASLT_MAX_POINTS} points of each kind per path (cost guard)")
     k_start = model.min_n()
@@ -610,11 +599,10 @@ def comparison_bound_series(model: ArrayModel, kind: str, x: float, y: float,
     the max over the component pairs.  omega_n = min(|u_n(x)|, |u_n(y)|)."""
     if kind not in ("L1", "L2"):
         raise DomainError(f"kind must be 'L1' or 'L2', got {kind!r}")
-    n_grid = tuple(_count(n, "n_grid entry") for n in n_grid)
+    # the sums read the model's correlations at row size n
+    n_grid = tuple(model.validate_n(n) for n in n_grid)
     if not n_grid:
         raise DomainError("n_grid must be non-empty")
-    for n in n_grid:  # the sums read the model's correlations at row size n
-        model.validate_n(n)
     x, y = _thresholds(x, y)
     taus = None
     if kind == "L2":
@@ -717,9 +705,7 @@ def aslt_bound_rate(model: ArrayModel, cross_row: Coupling, epsilon: float,
     epsilon = float(epsilon)
     if not 0.0 < epsilon < math.inf:  # NaN too
         raise DomainError(f"epsilon must be a positive finite real, got {epsilon}")
-    n_grid = tuple(_count(n, "n_grid entry") for n in n_grid)
-    if not n_grid or any(n < 16 for n in n_grid):
-        raise DomainError("n_grid entries must be >= 16 so that ln ln n > 1")
+    n_grid = tuple(_count(n, "n_grid entry", 16) for n in n_grid)  # so that ln ln n > 1
     rate = []
     for n in n_grid:  # float ** raises OverflowError where numpy would give inf
         try:

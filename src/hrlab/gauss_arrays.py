@@ -124,10 +124,9 @@ def _first_size(ell):
 class _RowSizeRule:
     """Valid row sizes are exactly n >= min_n(), the model's one row-size rule."""
 
-    def validate_n(self, n: int):
-        least = self.min_n()
-        if n < least:
-            raise DomainError(f"row size must be >= {least} for this model, got {n}")
+    def validate_n(self, n) -> int:
+        """``n`` as an int; a row size below min_n() is refused."""
+        return _count(n, "row size", self.min_n())
 
 
 @dataclass(frozen=True)
@@ -338,9 +337,7 @@ ArrayModel = WeakAR1Model | StrongFactorModel | ExplicitModel
 
 def sample_row(model: ArrayModel, n: int, seed) -> RowSample:
     """Sample one row of the triangular array; bit-identical for equal seeds."""
-    lineage = as_lineage(seed)
-    n = _count(n, "row size")
-    model.validate_n(n)
+    lineage, n = as_lineage(seed), model.validate_n(n)
     block = np.zeros((1, *model._layout(n)))
     model._sample(n, lineage.generator(), out=block[0])
     x1, x2 = model._rows(block, [n])[0]
@@ -351,9 +348,8 @@ def induced_correlation(model: ArrayModel, i: int, j: int, k: int, n: int) -> fl
     """Exact model correlation of X_s^(i) and X_{s+k}^(j) within row n."""
     if i not in (1, 2) or j not in (1, 2):
         raise DomainError(f"component indices must be 1 or 2, got ({i}, {j})")
-    k, size = _count(k, "lag"), _count(n, "row size")
-    if k < 0 or k >= size:
-        raise DomainError(f"lag must satisfy 0 <= k < n, got k={k}, n={n}")
+    size = _count(n, "row size")
+    k = _count(k, "lag", 0, size - 1)
     if k == 0:
         return 1.0 if i == j else model.rho0(size)
     return float(model.lag_corr_array(i, j, [k], size)[0])
@@ -409,11 +405,9 @@ def validate_assumption(model: ArrayModel, which: str, n_grid, alpha: float,
     """
     if which not in ("A1", "A2"):
         raise DomainError(f"assumption must be 'A1' or 'A2', got {which!r}")
-    n_grid = tuple(_count(n, "n_grid entry") for n in n_grid)
-    if not n_grid or any(n < 2 for n in n_grid) or list(n_grid) != sorted(set(n_grid)):
-        raise DomainError("n_grid must be a non-empty strictly increasing list of ints >= 2")
-    for n in n_grid:
-        model.validate_n(n)
+    n_grid = tuple(model.validate_n(n) for n in n_grid)  # min_n() >= 2
+    if not n_grid or list(n_grid) != sorted(set(n_grid)):
+        raise DomainError("n_grid must be a non-empty strictly increasing list of row sizes")
 
     def deviation(kind, i, j, n, lags):
         rho = np.asarray(model.lag_corr_array(i, j, lags, n), dtype=float)
@@ -444,11 +438,10 @@ def validate_assumption(model: ArrayModel, which: str, n_grid, alpha: float,
         )
 
     if which == "A2":
-        if tau is None:
-            if isinstance(model, StrongFactorModel):
-                tau = (model.mix.tau11, model.mix.tau12, model.mix.tau22)
-            else:
-                raise DomainError("A2 needs tau=(tau11, tau12, tau22) for this model")
+        if tau is None and isinstance(model, StrongFactorModel):
+            tau = (model.mix.tau11, model.mix.tau12, model.mix.tau22)
+        if tau is None or len(tau) != 3:
+            raise DomainError(f"A2 needs tau=(tau11, tau12, tau22) for this model, got {tau}")
         tau_by_pair = {(1, 1): float(tau[0]), (1, 2): float(tau[1]), (2, 2): float(tau[2])}
 
     cutoffs = tuple(max(1, int(math.floor(n**alpha))) for n in n_grid)

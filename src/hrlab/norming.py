@@ -30,9 +30,7 @@ class Norming:
 
 def norming_constants(n: int) -> Norming:
     """Norming constants a_n = 1/sqrt(2 ln n), b_n = sqrt(2 ln n) - ln(4 pi ln n)/(2 sqrt(2 ln n))."""
-    n = _count(n, "row size")
-    if n < 2:
-        raise DomainError(f"row size must be >= 2, got {n}")
+    n = _count(n, "row size", 2)
     r = math.sqrt(2.0 * math.log(n))
     return Norming(n=n, a=1.0 / r, b=r - math.log(4.0 * math.pi * math.log(n)) / (2.0 * r))
 
@@ -44,9 +42,7 @@ def rho0_from_lambda(lam, n: int) -> float:
     canonical there) and lam^2 > 2 ln(n) (correlation below -1).
     """
     p = as_param(lam)
-    n = _count(n, "row size")
-    if n < 2:
-        raise DomainError(f"row size must be >= 2, got {n}")
+    n = _count(n, "row size", 2)
     if math.isinf(p.value):
         raise DomainError(
             "the infinite dependence parameter has no canonical finite-n "
@@ -66,9 +62,7 @@ def rho0_from_lambda(lam, n: int) -> float:
 def lambda_from_rho0(rho: float, n: int) -> HrParam:
     """Invert the calibration: lam = sqrt((1 - rho) * ln(n))."""
     rho = float(rho)
-    n = _count(n, "row size")
-    if n < 2:
-        raise DomainError(f"row size must be >= 2, got {n}")
+    n = _count(n, "row size", 2)
     if not -1.0 <= rho <= 1.0:
         raise DomainError(f"correlation must lie in [-1, 1], got {rho}")
     return HrParam(math.sqrt((1.0 - rho) * math.log(n)))

@@ -129,7 +129,4 @@ def as_lineage(seed) -> SeedLineage:
         if min((seed.entropy, *seed.key)) < 0:
             raise DomainError(f"a seed lineage's entropy and key must be >= 0, got {seed}")
         return seed
-    entropy = _count(seed, "seed")
-    if entropy < 0:
-        raise DomainError(f"seed must be an integer >= 0, got {entropy}")
-    return SeedLineage(entropy)
+    return SeedLineage(_count(seed, "seed", 0))

@@ -36,12 +36,13 @@ def load_schema():
 
 class TestHrEval:
     def test_independence_point(self, capsys):
-        code, out, _ = run_cli(capsys, "hr-eval", "--lambda", "inf", "--grid", "0:0")
-        assert code == 0
-        rows = parse_csv(out)
-        assert len(rows) == 1
-        assert float(rows[0]["hr_cdf"]) == pytest.approx(math.exp(-2.0), rel=1e-15)
-        assert rows[0]["lambda_branch"] == "inf"
+        for lam in ("inf", "Infinity", "+INF"):
+            code, out, _ = run_cli(capsys, "hr-eval", "--lambda", lam, "--grid", "0:0")
+            assert code == 0
+            rows = parse_csv(out)
+            assert len(rows) == 1
+            assert float(rows[0]["hr_cdf"]) == pytest.approx(math.exp(-2.0), rel=1e-15)
+            assert rows[0]["lambda_branch"] == "inf"
 
     def test_comonotone_grid(self, capsys):
         code, out, _ = run_cli(capsys, "hr-eval", "--lambda", "0", "--grid", "0:1")
@@ -361,6 +362,8 @@ class TestVerifyCommands:
             ("verify", "weak", "--lambda", "1", "--phi", "0.5", "--grid", "0:0:2"),
             ("verify", "bounds", "--lambda", "1", "--phi", "0.5", "--ngrid", "inf"),
             ("verify", "bounds", "--lambda", "1", "--phi", "0.5", "--ngrid", "1e3,1e12"),
+            ("verify", "bounds", "--kind", "L1", "--lambda", "1", "--phi", "0.5",
+             "--ngrid", "1000.9,10000.5"),
             ("verify", "weak", "--lambda", "1", "--phi", "0.3", "--n", "200", "--reps", "100",
              "--seed", "-1"),
             ("verify", "bounds", "--kind", "rate", "--lambda", "1", "--phi", "0.5",
@@ -374,7 +377,7 @@ class TestVerifyCommands:
         ids=["x-nan", "y-neg-inf", "epsilon-inf", "phi-nan", "tol-nan", "marginal-tol-inf",
              "tau-nan", "grid4-inf", "points-nan", "grid-lo-nan", "grid-hi-inf",
              "grid-count-1e8", "grid-repeated-point", "weak-grid-repeated-point", "ngrid-inf",
-             "ngrid-1e12", "seed-negative", "coupling-malformed-c", "coupling-unknown-kind",
+             "ngrid-1e12", "ngrid-non-integral", "seed-negative", "coupling-malformed-c", "coupling-unknown-kind",
              "tau-two-entries", "points-three-values", "seed-not-an-integer",
              "grid-count-not-an-integer"],
     )

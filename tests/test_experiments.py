@@ -44,6 +44,9 @@ class TestEmpiricalMaxLaw:
             )
         with pytest.raises(DomainError, match="non-empty"):
             H.empirical_max_law(H.WeakAR1Model(1.0, 0.0), 100, 100, ([], grid()), 1)
+        for axes in ((grid(),), (grid(), grid(), grid())):
+            with pytest.raises(DomainError, match="grid must have 2 axes"):
+                H.empirical_max_law(H.WeakAR1Model(1.0, 0.0), 100, 100, axes, 1)
 
     def test_cdf_axioms_and_determinism(self):
         m = H.WeakAR1Model(1.0, 0.3)
@@ -318,6 +321,9 @@ class TestEmpiricalMaxMinLaw:
         four = np.array([0.0, 0.5, 1.0, 1.5])
         with pytest.raises(DomainError):
             H.empirical_maxmin_law(m, 200, 200, (four, four, four, four), 1)
+        for count in (3, 5):
+            with pytest.raises(DomainError, match="grid4 must have 4 axes"):
+                H.empirical_maxmin_law(m, 200, 200, (four[:2],) * count, 1)
 
 
 class TestAsltAverage:
@@ -332,6 +338,8 @@ class TestAsltAverage:
             H.aslt_average(sf, H.INDEPENDENT_ROWS, 2000, ((0.0, 0.0),), 1)
         with pytest.raises(DomainError, match="maxmin points"):
             H.aslt_average(m, H.INDEPENDENT_ROWS, 2000, (), 1, maxmin_points=((0.0, 0.0, 1.0),))
+        with pytest.raises(DomainError, match="points must be"):
+            H.aslt_average(m, H.INDEPENDENT_ROWS, 2000, ((0.0, 0.0, 0.0),), 1)
         with pytest.raises(DomainError, match="coupling kind"):
             H.Coupling("other")
 

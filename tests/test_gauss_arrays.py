@@ -469,6 +469,8 @@ class TestAssumptionValidators:
             H.validate_assumption(H.WeakAR1Model(1.0, 0.5), "A2", (100, 1000), 0.1)
         with pytest.raises(DomainError, match="'A1' or 'A2'"):
             H.validate_assumption(H.WeakAR1Model(1.0, 0.5), "A3", (100, 1000), 0.1)
+        with pytest.raises(DomainError, match="A2 needs tau"):
+            H.validate_assumption(H.WeakAR1Model(1.0, 0.5), "A2", (100, 1000), 0.1, tau=(1, 2))
 
     @staticmethod
     def _pair_maxes(model, which, n, cut, tau=None):

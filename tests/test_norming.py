@@ -130,12 +130,16 @@ COUNT_CALLS = {
     "induced_correlation-n": lambda v: H.induced_correlation(WEAK, 1, 2, 1, v),
     "sample_row": lambda v: H.sample_row(WEAK, v, 0),
     "sample_rows": lambda v: H.sample_rows(WEAK, v, 0, range(3)),
+    "sample_rows-keys": lambda v: H.sample_rows(WEAK, 60, 0, [1, v]),
     "hr_sample": lambda v: H.hr_sample(1.0, v, 0),
+    "hr_sample-seed": lambda v: H.hr_sample(1.0, 3, v),
     "mixture_limit_mc": lambda v: H.mixture_limit_mc(MIX, 0.0, 0.0, v, 0),
     "mixture_limit_cdf-nodes": lambda v: H.mixture_limit_cdf(MIX, 0.0, 0.0, nodes=v),
+    "univariate_mixture_cdf-nodes": lambda v: H.univariate_mixture_cdf(1.0, 0.0, nodes=v),
     "empirical_max_law-n": lambda v: H.empirical_max_law(WEAK, v, 100, ([0.0], [0.0]), 0),
     "empirical_max_law-R": lambda v: H.empirical_max_law(WEAK, 100, v, ([0.0], [0.0]), 0),
     "empirical_maxmin_law-n": lambda v: H.empirical_maxmin_law(WEAK, v, 100, ([0.0],) * 4, 0),
+    "empirical_maxmin_law-R": lambda v: H.empirical_maxmin_law(WEAK, 100, v, ([0.0],) * 4, 0),
     "aslt_average": lambda v: H.aslt_average(WEAK, H.INDEPENDENT_ROWS, v, ((0.0, 0.0),), 0),
     "comparison_bound_series": lambda v: H.comparison_bound_series(WEAK, "L1", 0.0, 0.0, [v]),
     "aslt_bound_rate": lambda v: H.aslt_bound_rate(WEAK, H.INDEPENDENT_ROWS, 0.1, [v], 0.0, 0.0),
@@ -143,10 +147,12 @@ COUNT_CALLS = {
 }
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 2.5],
+                         ids=["inf", "-inf", "nan", "2.5"])
 @pytest.mark.parametrize("call", COUNT_CALLS.values(), ids=COUNT_CALLS.keys())
 def test_non_finite_count_is_a_domain_error(monkeypatch, call, value):
-    # int() raises OverflowError on +-inf and ValueError on NaN
+    # int() raises OverflowError on +-inf and ValueError on NaN, and would
+    # truncate 2.5 to 2 without a word
     def no_draws(self):
         raise AssertionError("a row was drawn")
 
