@@ -1,11 +1,14 @@
-"""Command-line driver, run configuration, and CSV/JSON reporting.
+"""Command-line entry point: the command table, and CSV/JSON reporting.
 
-Every run resolves its flags into a RunConfig, which is echoed verbatim into
-the output (a ``config`` column in CSV, a ``config`` object in JSON) together
-with the artifact version, so any result file identifies the exact experiment
-that produced it.  Identical (config, seed, version, numpy version, float64
-``exp``/``log`` code path) produce byte-identical output regardless of worker
-count; README's "What the byte contract covers" says why numpy enters.
+The command table ``COMMANDS`` is the one statement of every subcommand's
+flags.  Every run echoes its resolved flags verbatim into the output (a
+``config`` column in CSV, a ``config`` object in JSON): one key for each flag
+of the table but ``--out`` and ``--workers``, ``None`` where the command lacks
+that flag.  With the artifact version, any result file identifies the exact
+experiment that produced it.  Identical (config, seed, version, numpy
+version, float64 ``exp``/``log`` code path) produce byte-identical output
+regardless of worker count; README's "What the byte contract covers" says why
+numpy enters.
 
 Exit codes: 0 verification passed, 1 verification failed, 2 usage or
 configuration error, 3 any other runtime error (memory, worker pool, ...).
@@ -20,8 +23,8 @@ import os
 import sys
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
 from functools import cache
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -41,49 +44,19 @@ from .experiments import (
     sup_distance,
     univariate_mixture_cdf,
 )
-from .gauss_arrays import StrongFactorModel, WeakAR1Model, _lfilter
+from .gauss_arrays import NGRID_MAX, StrongFactorModel, WeakAR1Model, _lfilter
 from .seeding import SeedLineage
 
 SEED_ENV_VAR = "HREXT_SEED"
 
 GRID_MAX_POINTS = 201  # per axis: hr-eval tabulates count^2 rows
-NGRID_MAX = 10**8      # bound sums cost O(n) per grid entry
-# --n and --reps keep every array below 256 MB: a row of 2(n+1) float64
-# normals, and verify maxmin's (reps, 81) event matrices.  --seeds bounds the
-# run time of verify aslt, one path after another on each of its --workers
-# threads, of up to ~1e10 normals each
-COUNT_CAPS = {"n": 10**7, "reps": 10**6, "seeds": 100}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run parameters, echoed into every report by to_dict."""
-
-    command: str
-    seed: int
-    format: str = "csv"
-    tol: float | None = None
-    lam: float | None = None
-    phi: float | None = None
-    tau: tuple[float, float, float] | None = None
-    n: int | None = None
-    n_grid: tuple[int, ...] | None = None
-    reps: int | None = None
-    grid: tuple[float, float, int] | None = None
-    grid4: tuple[float, ...] | None = None
-    nodes: int | None = None
-    kind: str | None = None
-    epsilon: float | None = None
-    coupling: str = "indep"
-    points: tuple[tuple[float, float], ...] | None = None
-    nmax: int | None = None
-    seeds: int | None = None
-    x: float | None = None
-    y: float | None = None
-    marginal_tol: float | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+# each count flag's (least, most), checked before any draw.  --n and --reps
+# keep every array below 256 MB: a row of 2(n+1) float64 normals, and verify
+# maxmin's (reps, 81) event matrices.  --seeds bounds the run time of verify
+# aslt, one path after another on each of its --workers threads, of up to
+# ~1e10 normals each, and it takes two paths to compare spreads across them
+COUNT_RANGES = {"n": (None, 10**7), "reps": (None, 10**6), "seeds": (2, 100),
+                "workers": (1, None)}
 
 
 # ---------------------------------------------------------------------------
@@ -214,22 +187,22 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def render_csv(cfg: RunConfig, table: list[dict]) -> str:
+def render_csv(cfg: SimpleNamespace, table: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     columns = list(table[0].keys()) if table else []
     writer.writerow(columns + ["artifact_version", "config"])
-    meta = [__version__, json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))]
+    meta = [__version__, json.dumps(vars(cfg), sort_keys=True, separators=(",", ":"))]
     for row in table:
         writer.writerow([_csv_cell(row[c]) for c in columns] + meta)
     return buf.getvalue()
 
 
-def render_json(cfg: RunConfig, table: list[dict], summary: dict, passed) -> str:
+def render_json(cfg: SimpleNamespace, table: list[dict], summary: dict, passed) -> str:
     report = {
         "artifact_version": __version__,
         "command": cfg.command,
-        "config": cfg.to_dict(),
+        "config": vars(cfg),
         "passed": passed,
         "summary": summary,
         "table": table,
@@ -237,7 +210,7 @@ def render_json(cfg: RunConfig, table: list[dict], summary: dict, passed) -> str
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def emit(cfg: RunConfig, table: list[dict], summary: dict, passed,
+def emit(cfg: SimpleNamespace, table: list[dict], summary: dict, passed,
          out: str | None) -> None:
     text = (
         render_csv(cfg, table)
@@ -252,7 +225,7 @@ def emit(cfg: RunConfig, table: list[dict], summary: dict, passed,
 
 
 # ---------------------------------------------------------------------------
-# commands: each maps a RunConfig and a worker count to (table, summary, passed)
+# commands: each maps an echoed config and a worker count to (table, summary, passed)
 # ---------------------------------------------------------------------------
 
 def _grid_rows(axes, names, **columns) -> list[dict]:
@@ -272,7 +245,7 @@ def _grid_rows(axes, names, **columns) -> list[dict]:
     ]
 
 
-def cmd_hr_eval(cfg: RunConfig, workers: int):
+def cmd_hr_eval(cfg: SimpleNamespace, workers: int):
     axis = _axis(cfg.grid)
     # the exponent is at most e^-x + e^-y, largest at the grid's lower corner
     with np.errstate(over="ignore"):
@@ -287,14 +260,14 @@ def cmd_hr_eval(cfg: RunConfig, workers: int):
     return table, {"rows": len(table)}, None
 
 
-def _strong_model(cfg: RunConfig) -> StrongFactorModel:
+def _strong_model(cfg: SimpleNamespace) -> StrongFactorModel:
     if cfg.tau is None or cfg.lam is None:
         raise HrlabError("this command needs --lambda and --tau t11,t22,t12")
     t11, t22, t12 = cfg.tau
     return StrongFactorModel(MixtureParams(t11, t22, t12, cfg.lam))
 
 
-def cmd_verify_weak(cfg: RunConfig, workers: int):
+def cmd_verify_weak(cfg: SimpleNamespace, workers: int):
     model = WeakAR1Model(cfg.lam, cfg.phi)
     baseline = WeakAR1Model(cfg.lam, 0.0)
     axis = _axis(cfg.grid)
@@ -320,7 +293,7 @@ def cmd_verify_weak(cfg: RunConfig, workers: int):
     return table, summary, passed
 
 
-def cmd_verify_strong(cfg: RunConfig, workers: int):
+def cmd_verify_strong(cfg: SimpleNamespace, workers: int):
     model = _strong_model(cfg)
     _quad_nodes(cfg.nodes)  # before any row is drawn
     mp = model.mix
@@ -352,7 +325,7 @@ def cmd_verify_strong(cfg: RunConfig, workers: int):
     return table, summary, passed
 
 
-def cmd_verify_maxmin(cfg: RunConfig, workers: int):
+def cmd_verify_maxmin(cfg: SimpleNamespace, workers: int):
     model = WeakAR1Model(cfg.lam, cfg.phi)
     vals = np.asarray(cfg.grid4, dtype=float)
     emp = empirical_maxmin_law(model, cfg.n, cfg.reps, (vals,) * 4,
@@ -368,11 +341,9 @@ def cmd_verify_maxmin(cfg: RunConfig, workers: int):
     return table, {"max_abs_err": worst, "tol": tol}, passed
 
 
-def cmd_verify_aslt(cfg: RunConfig, workers: int):
+def cmd_verify_aslt(cfg: SimpleNamespace, workers: int):
     model = WeakAR1Model(cfg.lam, cfg.phi)
     coupling = _coupling_of(cfg.coupling)
-    if cfg.seeds < 2:
-        raise DomainError(f"--seeds must be >= 2 to compare spreads across paths, got {cfg.seeds}")
     points = cfg.points
     mm_points = tuple((x, y, x, y) for x, y in points)
     tol = cfg.tol if cfg.tol is not None else 0.12
@@ -425,7 +396,7 @@ def cmd_verify_aslt(cfg: RunConfig, workers: int):
     return table, summary, passed
 
 
-def cmd_verify_bounds(cfg: RunConfig, workers: int):
+def cmd_verify_bounds(cfg: SimpleNamespace, workers: int):
     kind = cfg.kind
     if cfg.phi is not None and cfg.tau is not None:
         raise HrlabError("verify bounds takes --phi (weak model) or --tau (strong model), not both")
@@ -508,9 +479,9 @@ COMMON = (
 
 
 class Command(NamedTuple):
-    path: tuple[str, ...]          # e.g. ("verify", "weak"); RunConfig.command joins it with "-"
+    path: tuple[str, ...]          # e.g. ("verify", "weak"); the config's command joins it with "-"
     help: str
-    run: Callable                  # (RunConfig, workers) -> (table, summary, passed)
+    run: Callable                  # (config, workers) -> (table, summary, passed)
     flags: tuple                   # (name, argparse keywords) pairs; COMMON is added to each
 
 
@@ -567,20 +538,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_of(ns) -> RunConfig:
-    """The RunConfig of parsed flags: every flag that names a RunConfig field,
-    plus the command path and the resolved seed."""
-    names = {f.name for f in fields(RunConfig)} - {"command", "seed"}
-    given = {k: v for k, v in vars(ns).items() if k in names}
-    return RunConfig(command="-".join(ns.spec.path), seed=_resolve_seed(ns), **given)
-
-
-def _check_caps(cfg: RunConfig) -> None:
-    """Refuse a count flag above its cap in COUNT_CAPS, before any draw."""
-    for name, cap in COUNT_CAPS.items():
-        value = getattr(cfg, name)
-        if value is not None and value > cap:
-            raise HrlabError(f"--{name} is capped at {cap}, got {value}")
+def config_of(ns) -> SimpleNamespace:
+    """The echoed config of parsed flags: each flag of the table but --out and
+    --workers, None where the command lacks it (``coupling`` "indep"), plus
+    the command path and the resolved seed."""
+    keys = {kwargs.get("dest", name[2:].replace("-", "_"))
+            for cmd in COMMANDS for name, kwargs in cmd.flags + COMMON} - {"out", "workers"}
+    given = {k: v for k, v in vars(ns).items() if k in keys}
+    return SimpleNamespace(**{**dict.fromkeys(keys), "coupling": "indep", **given,
+                              "command": "-".join(ns.spec.path), "seed": _resolve_seed(ns)})
 
 
 def _merge_dash_values(argv):
@@ -605,10 +571,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        if ns.workers < 1:
-            raise HrlabError(f"--workers must be >= 1, got {ns.workers}")
+        for name, (least, most) in COUNT_RANGES.items():  # before any draw
+            if (value := getattr(ns, name, None)) is not None:
+                _count(value, f"--{name}", least, most)
         cfg = config_of(ns)
-        _check_caps(cfg)
         table, summary, passed = ns.spec.run(cfg, ns.workers)
         emit(cfg, table, summary, passed, ns.out)
     except (HrlabError, OSError) as exc:

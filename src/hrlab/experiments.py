@@ -25,7 +25,7 @@ from .errors import DomainError, _count
 from .evd_core import MixtureParams, gumbel_cdf, hr_cdf
 from .gauss_arrays import (
     _BLOCK_BYTES, _PAIRS, ArrayModel, StrongFactorModel, WeakAR1Model, _ar1_path, _by_size,
-    _fill, _pair,
+    _fill, _pair, _scan_sizes,
 )
 from .norming import norming_constants
 from .seeding import as_lineage
@@ -175,7 +175,8 @@ def _hits(ext, x1, x2, y1, y2):
 
 def _all_extremes(model, n, lineage, total, workers):
     """The (total, 4) extremes of replications 0..total-1, in order."""
-    if workers <= 1:
+    workers = _count(workers, "workers", 1)
+    if workers == 1:
         return _extremes(model, lineage, range(total), np.full(total, n))
     # chunks follow ``workers`` so results do not depend on the machine; the
     # pool, which forks all its processes at the first submit, is capped
@@ -600,7 +601,7 @@ def comparison_bound_series(model: ArrayModel, kind: str, x: float, y: float,
     if kind not in ("L1", "L2"):
         raise DomainError(f"kind must be 'L1' or 'L2', got {kind!r}")
     # the sums read the model's correlations at row size n
-    n_grid = tuple(model.validate_n(n) for n in n_grid)
+    n_grid = _scan_sizes(model, n_grid)
     if not n_grid:
         raise DomainError("n_grid must be non-empty")
     x, y = _thresholds(x, y)

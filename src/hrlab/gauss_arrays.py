@@ -48,6 +48,7 @@ _PAIRS = ((1, 1), (1, 2), (2, 2))
 _BLOCK_BYTES = 1 << 18
 
 EXPLICIT_MAX_N = 4000  # dense 2n x 2n correlation matrix and Cholesky ceiling
+NGRID_MAX = 10**8  # the largest row size of a lag scan or bound sum, O(n) each
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,12 @@ class _RowSizeRule:
     def validate_n(self, n) -> int:
         """``n`` as an int; a row size below min_n() is refused."""
         return _count(n, "row size", self.min_n())
+
+
+def _scan_sizes(model, n_grid):
+    """The row sizes of ``n_grid`` as ints, each valid for ``model`` and at
+    most NGRID_MAX."""
+    return tuple(model.validate_n(_count(n, "row size", most=NGRID_MAX)) for n in n_grid)
 
 
 @dataclass(frozen=True)
@@ -405,7 +412,7 @@ def validate_assumption(model: ArrayModel, which: str, n_grid, alpha: float,
     """
     if which not in ("A1", "A2"):
         raise DomainError(f"assumption must be 'A1' or 'A2', got {which!r}")
-    n_grid = tuple(model.validate_n(n) for n in n_grid)  # min_n() >= 2
+    n_grid = _scan_sizes(model, n_grid)  # min_n() >= 2
     if not n_grid or list(n_grid) != sorted(set(n_grid)):
         raise DomainError("n_grid must be a non-empty strictly increasing list of row sizes")
 

@@ -124,9 +124,10 @@ class SeedLineage:
 def as_lineage(seed) -> SeedLineage:
     """Coerce an int >= 0 or SeedLineage into a SeedLineage.  A lineage's
     entropy and key are checked here, once a public call, and not in
-    ``child``, which runs once a row."""
+    ``child``, which runs once a row: each must be an integer, as numpy's
+    SeedSequence takes it (0.5 and -0.0 are not)."""
     if isinstance(seed, SeedLineage):
-        if min((seed.entropy, *seed.key)) < 0:
-            raise DomainError(f"a seed lineage's entropy and key must be >= 0, got {seed}")
+        if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in (seed.entropy, *seed.key)):
+            raise DomainError(f"a seed lineage's entropy and key must be >= 0 integers, got {seed}")
         return seed
     return SeedLineage(_count(seed, "seed", 0))

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from concurrent.futures import Future
 from unittest import mock
@@ -897,3 +898,35 @@ class TestWeakConvergenceTrend:
             dists.append(H.sup_distance(emp, theory))
         slack = 2.0 * math.sqrt(0.25 / 10**4)
         assert all(b <= a + slack for a, b in zip(dists, dists[1:]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda m: H.comparison_bound_series(m, "L1", 0.0, 0.0, [10**18]),
+     lambda m: H.aslt_bound_rate(m, H.INDEPENDENT_ROWS, 0.1, [100, 10**18], 0.0, 0.0),
+     lambda m: H.validate_assumption(m, "A1", [100, 10**18], 0.1),
+     lambda m: H.comparison_bound_series(m, "L1", 0.0, 0.0, [gauss_arrays.NGRID_MAX + 1])],
+    ids=["L1-1e18", "rate-1e18", "A1-1e18", "L1-cap-plus-1"],
+)
+def test_scan_above_ngrid_max_is_refused_at_once(call):
+    # a bound sum or lag scan costs O(n): at 1e18 it would run for years
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="row size must be <= 100000000, got"):
+        call(H.WeakAR1Model(1.0, 0.5))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("workers", [0, -3, 2.5, math.inf, math.nan, "2"])
+@pytest.mark.parametrize("law", ["max", "maxmin"])
+def test_worker_count_is_a_count(monkeypatch, law, workers):
+    # inf and nan used to raise a bare ValueError; 2.5, 0 and -3 ran
+    def no_draws(self):
+        raise AssertionError("a row was drawn")
+
+    monkeypatch.setattr(H.SeedLineage, "generator", no_draws)
+    m = H.WeakAR1Model(1.0, 0.5)
+    with pytest.raises(DomainError, match="^workers must"):
+        if law == "max":
+            H.empirical_max_law(m, 200, 100, (grid(), grid()), 1, workers)
+        else:
+            H.empirical_maxmin_law(m, 200, 100, ([0.5, 1.5],) * 4, 1, workers)

@@ -89,3 +89,26 @@ def test_negative_lineage_is_refused_at_the_public_call(monkeypatch, call):
     monkeypatch.setattr(H.SeedLineage, "generator", no_draws)
     with pytest.raises(DomainError, match="lineage's entropy and key must be >= 0"):
         call(H.WeakAR1Model(1.0, 0.5))
+
+
+@pytest.mark.parametrize(
+    "lineage",
+    [H.SeedLineage(0.5), H.SeedLineage(-0.0), H.SeedLineage(0, (1.5,)),
+     H.SeedLineage(0, (np.float64(2.0),)), H.SeedLineage("7")],
+    ids=["entropy-half", "entropy-negative-zero", "key-half", "key-float64", "entropy-str"],
+)
+def test_non_integer_lineage_is_refused_at_the_public_call(monkeypatch, lineage):
+    # numpy would refuse each only at the first draw, with a TypeError
+    def no_draws(self):
+        raise AssertionError("a row was drawn")
+
+    monkeypatch.setattr(H.SeedLineage, "generator", no_draws)
+    with pytest.raises(DomainError, match="lineage's entropy and key must be >= 0 integers"):
+        H.sample_row(H.WeakAR1Model(1.0, 0.5), 100, lineage)
+
+
+def test_numpy_integer_lineage_draws_as_its_int():
+    model = H.WeakAR1Model(1.0, 0.5)
+    got = H.sample_row(model, 100, H.SeedLineage(np.int64(3), (np.uint32(4),)))
+    want = H.sample_row(model, 100, H.SeedLineage(3, (4,)))
+    assert got.x1.tobytes() == want.x1.tobytes() and got.x2.tobytes() == want.x2.tobytes()
