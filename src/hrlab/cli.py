@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, HrlabError, _count
+from .errors import DomainError, HrlabError, _count, _real
 from .evd_core import MixtureParams, as_param, hr_cdf, hr_exponent
 from .experiments import (
     Coupling,
@@ -64,23 +64,20 @@ COUNT_RANGES = {"n": (None, 10**7), "reps": (None, 10**6), "seeds": (2, 100),
 # ---------------------------------------------------------------------------
 
 def _parse_lambda(text: str) -> float:
-    try:
-        value = float(text)  # reads inf, Infinity, +INF and padded text too
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid dependence parameter {text!r}") from exc
-    if math.isnan(value) or value < 0.0:
-        raise argparse.ArgumentTypeError(f"dependence parameter must be >= 0, got {text!r}")
-    return value
+    return _parse_real(text, "dependence parameter", least=0.0, above=None, below=None)
 
 
-def _parse_real(text: str) -> float:
+def _parse_real(text: str, name="value", least=None, above=-math.inf, below=math.inf) -> float:
+    """``text`` as float() reads it (inf, Infinity, +INF and padded text too),
+    in the range that ``errors._real`` holds it to: by default, finite."""
     try:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected a real number, got {text!r}") from exc
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite real, got {text!r}")
-    return value
+    try:
+        return _real(value, name, least=least, above=above, below=below)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -101,12 +98,9 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 
 def _parse_seed(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected an integer seed, got {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text!r}")
-    return value
+        return _count(int(text), "seed", 0)
+    except ValueError as exc:  # int's refusal of the text, or DomainError
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}") from exc
 
 
 def _parse_tau(text: str) -> tuple[float, float, float]:

@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the coercion of count
-arguments that refuses with them."""
+"""Exception types shared across the package, and the coercions that refuse
+with them: ``_count`` for counts, ``_real`` for scalar reals and thresholds,
+``_floats`` for array arguments.  A value that none can take is a DomainError."""
+
+import numpy as np
 
 
 class HrlabError(Exception):
@@ -29,7 +32,7 @@ def _count(value, name, least=None, most=None):
     that bound is given."""
     try:
         n = int(value)
-    except (OverflowError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         n = None
     if n is None or n != value:
         raise DomainError(f"{name} must be a finite integer, got {value}")
@@ -38,3 +41,30 @@ def _count(value, name, least=None, most=None):
                 else f"lie in [{least}, {most}]")
         raise DomainError(f"{name} must {rule}, got {n}")
     return n
+
+
+def _real(value, name, least=None, most=None, above=None, below=None):
+    """``value`` as a float, the one real-number rule of the package: NaN, None,
+    text, anything ``float()`` refuses and a value outside the inclusive bounds
+    ``least``/``most`` or the strict ``above``/``below`` are a DomainError
+    (``phi must lie in (-1, 1), got 1.0``); with no bounds, +-inf is kept."""
+    try:
+        v = None if isinstance(value, (str, bytes, bytearray)) else float(value)
+    except (OverflowError, TypeError, ValueError):
+        v = None
+    if (v is None or v != v or (least is not None and v < least)
+            or (most is not None and v > most) or (above is not None and v <= above)
+            or (below is not None and v >= below)):
+        lo = f"[{least:g}" if least is not None else f"({above:g}" if above is not None else "[-inf"
+        hi = f"{most:g}]" if most is not None else f"{below:g})" if below is not None else "inf]"
+        raise DomainError(f"{name} must lie in {lo}, {hi}, got {repr(value) if v is None else v}")
+    return v
+
+
+def _floats(a):
+    """``np.asarray(a, dtype=float)``, so a float64 array is returned as it is
+    and NaN entries are kept; numpy's refusal of ``a`` is a DomainError."""
+    try:
+        return np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"expected real numbers: {exc}") from exc

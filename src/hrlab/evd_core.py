@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, _count
+from .errors import DomainError, _count, _floats, _real
 from .seeding import as_lineage
 
 _SQRT2 = math.sqrt(2.0)
@@ -39,10 +39,7 @@ class HrParam:
     value: float
 
     def __post_init__(self):
-        v = float(self.value)
-        if math.isnan(v) or v < 0.0:
-            raise DomainError(f"dependence parameter must lie in [0, inf], got {self.value!r}")
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", _real(self.value, "dependence parameter", least=0.0))
 
     @property
     def is_zero(self) -> bool:
@@ -55,9 +52,7 @@ class HrParam:
 
 def as_param(lam) -> HrParam:
     """Coerce a float or HrParam into a validated HrParam."""
-    if isinstance(lam, HrParam):
-        return lam
-    return HrParam(float(lam))
+    return lam if isinstance(lam, HrParam) else HrParam(lam)
 
 
 @dataclass(frozen=True)
@@ -77,10 +72,8 @@ class MixtureParams:
 
     def __post_init__(self):
         for name in ("tau11", "tau22", "tau12"):
-            v = float(getattr(self, name))
-            if not (v > 0.0) or math.isinf(v):
-                raise DomainError(f"{name} must be a positive finite real, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _real(getattr(self, name), name, above=0.0,
+                                                 below=math.inf))
         object.__setattr__(self, "lam", as_param(self.lam).value)
         if self.tau12 > math.sqrt(self.tau11 * self.tau22) * (1.0 + 1e-12):
             raise DomainError(
@@ -155,22 +148,20 @@ def _erfc():
 def std_normal_cdf(z, out=None):
     """Standard Gaussian CDF, evaluated through erfc for tail accuracy.  Given
     ``out``, an array of z's shape (it may be z), every step writes there."""
-    t = np.divide(np.negative(z, out=out), _SQRT2, out=out)
+    t = np.divide(np.negative(_floats(z), out=out), _SQRT2, out=out)
     t = _erfc()(t, out=out)
     return _maybe_scalar(np.multiply(0.5, t, out=out))
 
 
 def gumbel_cdf(x):
     """Standard Gumbel CDF exp(-exp(-x))."""
-    x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
-        out = np.exp(-np.exp(-x))
-    return _maybe_scalar(out)
+        return _maybe_scalar(np.exp(-np.exp(-_floats(x))))
 
 
 def gumbel_quantile(u):
     """Inverse of the standard Gumbel CDF; u in [0, 1] with infinite endpoints."""
-    u = np.asarray(u, dtype=float)
+    u = _floats(u)
     if not np.all((u >= 0.0) & (u <= 1.0)):  # also refuses NaN
         raise DomainError("Gumbel quantile levels must lie in [0, 1]")
     with np.errstate(divide="ignore"):
@@ -189,8 +180,7 @@ def hr_exponent(lam, x, y):
     if not (p.is_zero or p.is_inf):
         return _maybe_scalar(_finite_exponent(p.value, x, y)[1])
     with np.errstate(over="ignore"):
-        ex = np.exp(-np.asarray(x, dtype=float))
-        ey = np.exp(-np.asarray(y, dtype=float))
+        ex, ey = np.exp(-_floats(x)), np.exp(-_floats(y))
         return _maybe_scalar(np.maximum(ex, ey) if p.is_zero else ex + ey)
 
 
@@ -213,8 +203,7 @@ def _exponent_rows(lam, x, y, ex, work):
 
 def _finite_exponent(lam, x, y):
     """(Phi(b), V, e^-x) of the finite branch; V is +inf where e^-x or e^-y overflows."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _floats(x), _floats(y)
     work = np.empty((4, *np.broadcast_shapes(x.shape, y.shape)))
     # x == y at +-inf is inf - inf; a Phi underflowing to 0 meets an inf e^-x or e^-y as 0 * inf
     with np.errstate(over="ignore", invalid="ignore"):
@@ -257,8 +246,7 @@ def hr_copula(lam, u, v):
     u * v without passing through the quantile transform.
     """
     p = as_param(lam)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = _floats(u), _floats(v)
     if not (np.all((u >= 0.0) & (u <= 1.0)) and np.all((v >= 0.0) & (v <= 1.0))):
         raise DomainError("copula arguments must lie in [0, 1]")  # also refuses NaN
     if p.is_zero:

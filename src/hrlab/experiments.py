@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _count
+from .errors import DomainError, _count, _floats, _real
 from .evd_core import MixtureParams, gumbel_cdf, hr_cdf
 from .gauss_arrays import (
     _BLOCK_BYTES, _PAIRS, ArrayModel, StrongFactorModel, WeakAR1Model, _ar1_path, _by_size,
@@ -60,12 +60,12 @@ def _axes(grid, name, count):
     strictly increasing; NaN is refused, +-inf kept."""
     if len(grid) != count:
         raise DomainError(f"{name} must have {count} axes, got {len(grid)}")
-    axes = tuple(np.asarray(a, dtype=float) for a in grid)
+    axes = tuple(_floats(a) for a in grid)
     for i, arr in enumerate(axes):
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError(f"{name}[{i}] must be a non-empty 1-d grid")
         _thresholds(*arr)
-        if np.any(np.diff(arr) <= 0):
+        if np.any(arr[1:] <= arr[:-1]):  # (inf, inf) too, where np.diff gives NaN
             raise DomainError(f"{name}[{i}] must be strictly increasing")
     return axes
 
@@ -173,6 +173,9 @@ def _hits(ext, x1, x2, y1, y2):
     return (s1 <= x1) & (s2 <= x2) & (t1 < y1) & (t2 < y2)
 
 
+MAX_CHUNKS = 64  # more would pay each future's pickling and scheduling for nothing
+
+
 def _all_extremes(model, n, lineage, total, workers):
     """The (total, 4) extremes of replications 0..total-1, in order."""
     workers = _count(workers, "workers", 1)
@@ -180,7 +183,8 @@ def _all_extremes(model, n, lineage, total, workers):
         return _extremes(model, lineage, range(total), np.full(total, n))
     # chunks follow ``workers`` so results do not depend on the machine; the
     # pool, which forks all its processes at the first submit, is capped
-    per = math.ceil(total / workers)
+    chunks = min(workers, MAX_CHUNKS)
+    per = math.ceil(total / chunks)
     # one row of zeros builds here what forked workers would otherwise each
     # build: the filter's kernel, an explicit model's factor
     model._rows(np.zeros((1, *model._layout(n))), [n])
@@ -189,7 +193,7 @@ def _all_extremes(model, n, lineage, total, workers):
     # of ms a collection; frozen, the parent's objects are never traversed
     gc.freeze()
     try:
-        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=min(chunks, os.cpu_count() or 1)) as pool:
             futures = [pool.submit(_extremes, model, lineage, range(lo, min(lo + per, total)),
                                    np.full(min(per, total - lo), n))
                        for lo in range(0, total, per)]
@@ -323,9 +327,7 @@ def mixture_limit_cdf(mp: MixtureParams, x: float, y: float, nodes: int = 128) -
 def univariate_mixture_cdf(tau11: float, x: float, nodes: int = 128) -> float:
     """Expectation of Gumbel(x + tau11 - sqrt(2 tau11) Z) over standard normal Z."""
     (x,) = _thresholds(x)
-    tau11 = float(tau11)
-    if not 0.0 <= tau11 < math.inf:  # NaN too
-        raise DomainError(f"tau11 must be a finite real >= 0, got {tau11}")
+    tau11 = _real(tau11, "tau11", least=0.0, below=math.inf)
     h, w = _hermgauss(nodes)
     z = math.sqrt(2.0) * h
     vals = gumbel_cdf(x + tau11 - math.sqrt(2.0 * tau11) * z)
@@ -371,10 +373,7 @@ class Coupling:
     def __post_init__(self):
         if self.kind not in ("independent", "shared"):
             raise DomainError(f"coupling kind must be 'independent' or 'shared', got {self.kind!r}")
-        c = float(self.c)
-        if self.kind == "shared" and not 0.0 <= c < 1.0:
-            raise DomainError(f"shared coupling weight must lie in [0, 1), got {c}")
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", _real(self.c, "coupling weight", least=0.0, below=1.0))
 
 
 INDEPENDENT_ROWS = Coupling()
@@ -523,10 +522,7 @@ class AsltRateReport:
 def _thresholds(*values):
     """``values`` as floats; NaN is refused, and +-inf is kept (in a bound sum
     it drops that coordinate)."""
-    values = tuple(float(v) for v in values)
-    if any(math.isnan(v) for v in values):
-        raise DomainError(f"thresholds must not be NaN, got {values}")
-    return values
+    return tuple(_real(v, "threshold") for v in values)
 
 
 def _omega(n, x, y):
@@ -703,9 +699,7 @@ def aslt_bound_rate(model: ArrayModel, cross_row: Coupling, epsilon: float,
     coupling (evaluated on its correlation envelope c * phi^(lag)).  Verdict
     "bounded" holds when the ratio sequence attains its maximum on the first
     half of the grid."""
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < math.inf:  # NaN too
-        raise DomainError(f"epsilon must be a positive finite real, got {epsilon}")
+    epsilon = _real(epsilon, "epsilon", above=0.0, below=math.inf)
     n_grid = tuple(_count(n, "n_grid entry", 16) for n in n_grid)  # so that ln ln n > 1
     rate = []
     for n in n_grid:  # float ** raises OverflowError where numpy would give inf

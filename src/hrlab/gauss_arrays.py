@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ModelError, _count
+from .errors import DomainError, ModelError, _count, _real
 from .norming import rho0_from_lambda
 from .evd_core import MixtureParams, _scipy_extension, as_param
 from .seeding import SeedLineage, as_lineage
@@ -145,10 +145,7 @@ class WeakAR1Model(_RowSizeRule):
 
     def __post_init__(self):
         object.__setattr__(self, "lam", as_param(self.lam).value)
-        phi = float(self.phi)
-        if not -1.0 < phi < 1.0:
-            raise DomainError(f"phi must lie in (-1, 1), got {phi}")
-        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "phi", _real(self.phi, "phi", above=-1.0, below=1.0))
 
     def rho0(self, n: int) -> float:
         # the infinite parameter corresponds to independent components
@@ -353,8 +350,7 @@ def sample_row(model: ArrayModel, n: int, seed) -> RowSample:
 
 def induced_correlation(model: ArrayModel, i: int, j: int, k: int, n: int) -> float:
     """Exact model correlation of X_s^(i) and X_{s+k}^(j) within row n."""
-    if i not in (1, 2) or j not in (1, 2):
-        raise DomainError(f"component indices must be 1 or 2, got ({i}, {j})")
+    i, j = (_count(c, "component index", 1, 2) for c in (i, j))
     size = _count(n, "row size")
     k = _count(k, "lag", 0, size - 1)
     if k == 0:
@@ -423,8 +419,9 @@ def validate_assumption(model: ArrayModel, which: str, n_grid, alpha: float,
         # ln(k) * |rho - tau/ln(k)| == |rho ln(k) - tau| in exact arithmetic;
         # this form keeps the cancellation exact when the model's
         # correlations are themselves defined as tau / ln(k)
-        logs = np.log(lags.astype(float))
-        return logs * np.abs(rho - tau_by_pair[i, j] / logs)
+        logs, tau_ij = np.log(lags.astype(float)), tau_by_pair[i, j]
+        with np.errstate(divide="ignore", invalid="ignore"):  # at k = 1 it is |0 - tau|
+            return np.where(logs > 0.0, logs * np.abs(rho - tau_ij / logs), abs(tau_ij))
 
     def scan(kind, n, cut, scale=1.0):
         """The max over pairs of scale * max_{cut <= k < n} of the deviation."""
@@ -437,19 +434,16 @@ def validate_assumption(model: ArrayModel, which: str, n_grid, alpha: float,
     if bound >= 1.0:
         raise DomainError(f"lag correlations must stay below 1, scan found {bound}")
     admissible = (1.0 - bound) / (1.0 + bound)
-    alpha = float(alpha)
-    if not 0.0 < alpha < admissible:
-        raise DomainError(
-            f"alpha={alpha:g} outside the admissible range (0, {admissible:g}) "
-            f"implied by the dependence bound {bound:g}"
-        )
+    alpha = _real(alpha, f"alpha (at the dependence bound {bound:g})", above=0.0,
+                  below=admissible)
 
     if which == "A2":
         if tau is None and isinstance(model, StrongFactorModel):
             tau = (model.mix.tau11, model.mix.tau12, model.mix.tau22)
         if tau is None or len(tau) != 3:
             raise DomainError(f"A2 needs tau=(tau11, tau12, tau22) for this model, got {tau}")
-        tau_by_pair = {(1, 1): float(tau[0]), (1, 2): float(tau[1]), (2, 2): float(tau[2])}
+        tau_by_pair = {pair: _real(t, "tau entry", above=-math.inf, below=math.inf)
+                       for pair, t in zip(_PAIRS, tau)}
 
     cutoffs = tuple(max(1, int(math.floor(n**alpha))) for n in n_grid)
     stats = tuple(scan(which, n, cut, math.log(n) if which == "A1" else 1.0)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _count
+from .errors import DomainError, _count, _floats, _real
 from .evd_core import HrParam, as_param
 
 
@@ -24,7 +24,7 @@ class Norming:
 
     def u(self, s):
         """The affine map u_n(s) = a_n * s + b_n (exact; broadcasts)."""
-        out = self.a * np.asarray(s, dtype=float) + self.b
+        out = self.a * _floats(s) + self.b
         return float(out) if out.ndim == 0 else out
 
 
@@ -61,8 +61,6 @@ def rho0_from_lambda(lam, n: int) -> float:
 
 def lambda_from_rho0(rho: float, n: int) -> HrParam:
     """Invert the calibration: lam = sqrt((1 - rho) * ln(n))."""
-    rho = float(rho)
+    rho = _real(rho, "correlation", least=-1.0, most=1.0)
     n = _count(n, "row size", 2)
-    if not -1.0 <= rho <= 1.0:
-        raise DomainError(f"correlation must lie in [-1, 1], got {rho}")
     return HrParam(math.sqrt((1.0 - rho) * math.log(n)))

@@ -84,6 +84,27 @@ def test_traced_counts_of_an_empirical_law(tracing, monkeypatch, model, per_row,
     assert t.calls["norming.norming_constants"] == workers  # one per chunk
 
 
+def test_a_thousand_workers_submit_at_most_64_chunks(tracing, monkeypatch):
+    submits = []
+
+    class CountingPool(InlinePool):
+        def submit(self, fn, *args):
+            submits.append(len(args[2]))  # the chunk's replications
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    model, n, reps, axis = hrlab.WeakAR1Model(1.0, 0.2), 150, 300, np.linspace(-1.0, 2.0, 4)
+    laws, traces = [], []
+    for workers in (1, 1000):
+        traces.append(_traced(tracing, lambda: laws.append(hrlab.cli.empirical_max_law(
+            model, n, reps, (axis, axis), 5, workers=workers))))
+    assert len(submits) <= experiments.MAX_CHUNKS == 64 and sum(submits) == reps
+    one, many = traces
+    assert many.calls["seeding.generator"] == one.calls["seeding.generator"] == reps
+    assert many.counts == one.counts
+    assert np.array_equal(laws[0].cdf, laws[1].cdf)
+
+
 @pytest.mark.parametrize("model, per_row", [
     (hrlab.WeakAR1Model(1.0, 0.2), lambda n: 2 * (n + 1)),
     (hrlab.StrongFactorModel(hrlab.MixtureParams(1.0, 1.0, 0.8, 1.0)), lambda n: 2 + 2 * n),

@@ -49,6 +49,12 @@ class TestEmpiricalMaxLaw:
             with pytest.raises(DomainError, match="grid must have 2 axes"):
                 H.empirical_max_law(H.WeakAR1Model(1.0, 0.0), 100, 100, axes, 1)
 
+    @pytest.mark.parametrize("axis", [[math.inf, math.inf], [-math.inf, -math.inf]])
+    def test_a_repeated_infinite_grid_point_is_refused(self, axis):
+        # inf - inf is NaN, so a difference test would let the axis through
+        with pytest.raises(DomainError, match="strictly increasing"):
+            H.empirical_max_law(H.WeakAR1Model(1.0, 0.0), 100, 100, (axis, grid()), 1)
+
     def test_cdf_axioms_and_determinism(self):
         m = H.WeakAR1Model(1.0, 0.3)
         emp1 = H.empirical_max_law(m, 200, 300, (grid(), grid()), ROOT.child(1))

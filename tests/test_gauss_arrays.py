@@ -464,6 +464,19 @@ class TestAssumptionValidators:
         with pytest.raises(DomainError):
             H.validate_assumption(model, "A1", (100, 100), 0.1)
 
+    def test_a2_at_a_cutoff_of_one_takes_the_first_lag_as_tau(self):
+        # ln 1 = 0, so |rho(1) ln 1 - tau| is |tau|: at k >= 2 the strong model's
+        # deviation tau (1 - ln k / ln n) is below tau, which leaves max tau = 1
+        sf = H.StrongFactorModel(H.MixtureParams(1.0, 1.0, 0.8, 1.0))
+        rep = H.validate_assumption(sf, "A2", (100, 1000, 10**4), 0.05)
+        assert rep.cutoff == (1, 1, 1) and rep.statistic == (1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("tau", [(1.0, math.nan, 1.0), (1.0, 0.8, math.inf), (1, "x", 1)])
+    def test_a2_tau_entries_are_finite_reals(self, tau):
+        sf = H.StrongFactorModel(H.MixtureParams(1.0, 1.0, 0.8, 1.0))
+        with pytest.raises(DomainError, match="tau entry"):
+            H.validate_assumption(sf, "A2", (100, 1000), 0.2, tau=tau)
+
     def test_a2_requires_taus(self):
         with pytest.raises(DomainError):
             H.validate_assumption(H.WeakAR1Model(1.0, 0.5), "A2", (100, 1000), 0.1)
