@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, HrlabError, _count, _real
+from .errors import DomainError, HrlabError, _count, _real, _seq
 from .evd_core import MixtureParams, as_param, hr_cdf, hr_exponent
 from .experiments import (
     Coupling,
@@ -81,13 +81,11 @@ def _parse_real(text: str, name="value", least=None, above=-math.inf, below=math
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) not in (2, 3):
-        raise argparse.ArgumentTypeError(f"grid must be lo:hi[:count], got {text!r}")
-    lo, hi = _parse_real(parts[0]), _parse_real(parts[1])
     try:
-        count = int(parts[2]) if len(parts) == 3 else (1 if lo == hi else 2)
-    except ValueError as exc:
+        lo, hi, *count = _seq(text.split(":"), "grid", 2, 3)
+        lo, hi = _parse_real(lo), _parse_real(hi)
+        count = int(count[0]) if count else (1 if lo == hi else 2)
+    except ValueError as exc:  # DomainError too
         raise argparse.ArgumentTypeError(f"grid must be lo:hi[:count], got {text!r}") from exc
     if hi < lo or count < 1 or (count == 1) != (hi == lo):  # one point exactly when lo == hi
         raise argparse.ArgumentTypeError(f"degenerate grid spec {text!r}")
@@ -104,10 +102,7 @@ def _parse_seed(text: str) -> int:
 
 
 def _parse_tau(text: str) -> tuple[float, float, float]:
-    parts = _parse_floats(text)
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"tau must have exactly three entries, got {text!r}")
-    return parts
+    return _parse_floats(text, "tau", 3, 3)
 
 
 def _parse_ngrid(text: str) -> tuple[int, ...]:
@@ -118,18 +113,16 @@ def _parse_ngrid(text: str) -> tuple[int, ...]:
             f"ngrid entries must be integers <= {NGRID_MAX:.0e}, got {text!r}") from exc
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(_parse_real(v) for v in text.split(","))
+def _parse_floats(text: str, name="values", least=None, most=None) -> tuple[float, ...]:
+    """The finite reals of comma-separated ``text``, as many as ``_seq`` allows."""
+    try:
+        return _seq(map(_parse_real, text.split(",")), name, least, most)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_points(text: str) -> tuple[tuple[float, float], ...]:
-    out = []
-    for chunk in text.split(";"):
-        vals = _parse_floats(chunk)
-        if len(vals) != 2:
-            raise argparse.ArgumentTypeError(f"each point must be x,y; got {chunk!r}")
-        out.append(vals)
-    return tuple(out)
+    return tuple(_parse_floats(chunk, "a point", 2, 2) for chunk in text.split(";"))
 
 
 def _parse_coupling(text: str) -> str:

@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the coercions that refuse
-with them: ``_count`` for counts, ``_real`` for scalar reals and thresholds,
-``_floats`` for array arguments.  A value that none can take is a DomainError."""
+with them: ``_count`` for counts, ``_real`` for scalar reals, ``_floats`` for
+arrays and ``_seq`` for containers.  A value that none can take is a DomainError."""
 
 import numpy as np
 
@@ -38,7 +38,7 @@ def _count(value, name, least=None, most=None):
         raise DomainError(f"{name} must be a finite integer, got {value}")
     if (least is not None and n < least) or (most is not None and n > most):
         rule = (f"be >= {least}" if most is None else f"be <= {most}" if least is None
-                else f"lie in [{least}, {most}]")
+                else f"be {least}" if least == most else f"lie in [{least}, {most}]")
         raise DomainError(f"{name} must {rule}, got {n}")
     return n
 
@@ -62,9 +62,22 @@ def _real(value, name, least=None, most=None, above=None, below=None):
 
 
 def _floats(a):
-    """``np.asarray(a, dtype=float)``, so a float64 array is returned as it is
-    and NaN entries are kept; numpy's refusal of ``a`` is a DomainError."""
+    """``a`` as float64 where numpy holds it as bools, integers or floats (a float64
+    array as itself, NaN kept); text, None and other objects are a DomainError."""
     try:
-        return np.asarray(a, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"expected real numbers: {exc}") from exc
+        arr = np.asarray(a)
+        if arr.dtype.kind in "biuf":
+            return arr.astype(float, copy=False)
+    except ValueError:  # a ragged nesting
+        pass
+    raise DomainError(f"expected real numbers, got {a!r:.60}")
+
+
+def _seq(value, name, least=None, most=None):
+    """``tuple(value)``, the one sequence rule: text, what ``tuple()`` cannot
+    iterate and a length outside ``least``/``most`` (by ``_count``) are a DomainError."""
+    if isinstance(value, (str, bytes, bytearray)) or not np.iterable(value):
+        raise DomainError(f"{name} must be a sequence, got {value!r:.60}")
+    seq = tuple(value)
+    _count(len(seq), f"the length of {name}", least, most)
+    return seq

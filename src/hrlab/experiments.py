@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _count, _floats, _real
+from .errors import DomainError, _count, _floats, _real, _seq
 from .evd_core import MixtureParams, gumbel_cdf, hr_cdf
 from .gauss_arrays import (
     _BLOCK_BYTES, _PAIRS, ArrayModel, StrongFactorModel, WeakAR1Model, _ar1_path, _by_size,
@@ -58,9 +58,7 @@ class EmpiricalLaw4D:
 def _axes(grid, name, count):
     """The ``count`` axes of ``grid`` as float arrays, each non-empty, 1-d and
     strictly increasing; NaN is refused, +-inf kept."""
-    if len(grid) != count:
-        raise DomainError(f"{name} must have {count} axes, got {len(grid)}")
-    axes = tuple(_floats(a) for a in grid)
+    axes = tuple(_floats(a) for a in _seq(grid, name, count, count))
     for i, arr in enumerate(axes):
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError(f"{name}[{i}] must be a non-empty 1-d grid")
@@ -159,7 +157,7 @@ def sample_rows(model: ArrayModel, n: int, seed, keys) -> np.ndarray:
     """(len(keys), 2, n): row i is ``sample_row(model, n, lineage.child(keys[i]))``
     to the byte, for the lineage of ``seed``; keys must be >= 0."""
     lineage, n = as_lineage(seed), model.validate_n(n)
-    keys = [_count(k, "keys", 0) for k in keys]
+    keys = [_count(k, "keys", 0) for k in _seq(keys, "keys")]
     rows = np.empty((len(keys), 2, n))
     for lo, hi, x in _row_blocks(model, lineage, keys, np.full(len(keys), n)):
         rows[lo:hi] = x
@@ -373,7 +371,8 @@ class Coupling:
     def __post_init__(self):
         if self.kind not in ("independent", "shared"):
             raise DomainError(f"coupling kind must be 'independent' or 'shared', got {self.kind!r}")
-        object.__setattr__(self, "c", _real(self.c, "coupling weight", least=0.0, below=1.0))
+        object.__setattr__(self, "c", _real(self.c, f"{self.kind} coupling weight", least=0.0,
+                                            most=None if self.kind == "shared" else 0.0, below=1.0))
 
 
 INDEPENDENT_ROWS = Coupling()
@@ -449,12 +448,10 @@ def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed
     if not isinstance(model, WeakAR1Model):
         raise DomainError("ASLT paths are implemented for the weak-dependence AR(1) model")
     n_max = _count(n_max, "n_max", 1000, ASLT_HARD_CAP)
-    points = tuple(_thresholds(*p) for p in points)
-    maxmin_points = tuple(_thresholds(*q) for q in maxmin_points)
-    if any(len(p) != 2 for p in points) or any(len(q) != 4 for q in maxmin_points):
-        raise DomainError("points must be (x, y) and maxmin points (x1, x2, y1, y2) tuples")
-    if max(len(points), len(maxmin_points)) > ASLT_MAX_POINTS:
-        raise DomainError(f"at most {ASLT_MAX_POINTS} points of each kind per path (cost guard)")
+    points = tuple(_thresholds(*_seq(p, "a point", 2, 2))
+                   for p in _seq(points, "points", most=ASLT_MAX_POINTS))
+    maxmin_points = tuple(_thresholds(*_seq(q, "a maxmin point", 4, 4))
+                          for q in _seq(maxmin_points, "maxmin_points", most=ASLT_MAX_POINTS))
     k_start = model.min_n()
     if n_max // 8 < k_start:
         raise DomainError(f"n_max must be >= {8 * k_start} for this model, so that the first "
@@ -598,8 +595,6 @@ def comparison_bound_series(model: ArrayModel, kind: str, x: float, y: float,
         raise DomainError(f"kind must be 'L1' or 'L2', got {kind!r}")
     # the sums read the model's correlations at row size n
     n_grid = _scan_sizes(model, n_grid)
-    if not n_grid:
-        raise DomainError("n_grid must be non-empty")
     x, y = _thresholds(x, y)
     taus = None
     if kind == "L2":
@@ -700,7 +695,7 @@ def aslt_bound_rate(model: ArrayModel, cross_row: Coupling, epsilon: float,
     "bounded" holds when the ratio sequence attains its maximum on the first
     half of the grid."""
     epsilon = _real(epsilon, "epsilon", above=0.0, below=math.inf)
-    n_grid = tuple(_count(n, "n_grid entry", 16) for n in n_grid)  # so that ln ln n > 1
+    n_grid = tuple(_count(n, "n_grid entry", 16) for n in _seq(n_grid, "n_grid", 1))  # ln ln n > 1
     rate = []
     for n in n_grid:  # float ** raises OverflowError where numpy would give inf
         try:

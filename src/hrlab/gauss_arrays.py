@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ModelError, _count, _real
+from .errors import DomainError, ModelError, _count, _real, _seq
 from .norming import rho0_from_lambda
 from .evd_core import MixtureParams, _scipy_extension, as_param
 from .seeding import SeedLineage, as_lineage
@@ -131,9 +131,10 @@ class _RowSizeRule:
 
 
 def _scan_sizes(model, n_grid):
-    """The row sizes of ``n_grid`` as ints, each valid for ``model`` and at
-    most NGRID_MAX."""
-    return tuple(model.validate_n(_count(n, "row size", most=NGRID_MAX)) for n in n_grid)
+    """The row sizes of the non-empty sequence ``n_grid`` as ints, each valid
+    for ``model`` and at most NGRID_MAX."""
+    return tuple(model.validate_n(_count(n, "row size", most=NGRID_MAX))
+                 for n in _seq(n_grid, "n_grid", 1))
 
 
 @dataclass(frozen=True)
@@ -351,7 +352,7 @@ def sample_row(model: ArrayModel, n: int, seed) -> RowSample:
 def induced_correlation(model: ArrayModel, i: int, j: int, k: int, n: int) -> float:
     """Exact model correlation of X_s^(i) and X_{s+k}^(j) within row n."""
     i, j = (_count(c, "component index", 1, 2) for c in (i, j))
-    size = _count(n, "row size")
+    size = model.validate_n(n)
     k = _count(k, "lag", 0, size - 1)
     if k == 0:
         return 1.0 if i == j else model.rho0(size)
@@ -409,8 +410,8 @@ def validate_assumption(model: ArrayModel, which: str, n_grid, alpha: float,
     if which not in ("A1", "A2"):
         raise DomainError(f"assumption must be 'A1' or 'A2', got {which!r}")
     n_grid = _scan_sizes(model, n_grid)  # min_n() >= 2
-    if not n_grid or list(n_grid) != sorted(set(n_grid)):
-        raise DomainError("n_grid must be a non-empty strictly increasing list of row sizes")
+    if list(n_grid) != sorted(set(n_grid)):
+        raise DomainError("n_grid must be a strictly increasing list of row sizes")
 
     def deviation(kind, i, j, n, lags):
         rho = np.asarray(model.lag_corr_array(i, j, lags, n), dtype=float)
@@ -440,10 +441,8 @@ def validate_assumption(model: ArrayModel, which: str, n_grid, alpha: float,
     if which == "A2":
         if tau is None and isinstance(model, StrongFactorModel):
             tau = (model.mix.tau11, model.mix.tau12, model.mix.tau22)
-        if tau is None or len(tau) != 3:
-            raise DomainError(f"A2 needs tau=(tau11, tau12, tau22) for this model, got {tau}")
-        tau_by_pair = {pair: _real(t, "tau entry", above=-math.inf, below=math.inf)
-                       for pair, t in zip(_PAIRS, tau)}
+        tau_by_pair = {pair: _real(t, "tau entry", above=-math.inf, below=math.inf) for pair, t
+                       in zip(_PAIRS, _seq(tau, "A2's tau (tau11, tau12, tau22)", 3, 3))}
 
     cutoffs = tuple(max(1, int(math.floor(n**alpha))) for n in n_grid)
     stats = tuple(scan(which, n, cut, math.log(n) if which == "A1" else 1.0)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, _count, _floats, _real
-from .evd_core import HrParam, as_param
+from .evd_core import HrParam, _maybe_scalar, as_param
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,7 @@ class Norming:
 
     def u(self, s):
         """The affine map u_n(s) = a_n * s + b_n (exact; broadcasts)."""
-        out = self.a * _floats(s) + self.b
-        return float(out) if out.ndim == 0 else out
+        return _maybe_scalar(self.a * _floats(s) + self.b)
 
 
 def norming_constants(n: int) -> Norming:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, _count
+from .errors import DomainError, _count, _seq
 
 _M32 = 0xFFFFFFFF
 # numpy's SeedSequence hash constants (pool size 4)
@@ -122,12 +122,13 @@ class SeedLineage:
 
 
 def as_lineage(seed) -> SeedLineage:
-    """Coerce an int >= 0 or SeedLineage into a SeedLineage.  A lineage's
-    entropy and key are checked here, once a public call, and not in
-    ``child``, which runs once a row: each must be an integer, as numpy's
+    """Coerce an int >= 0 or SeedLineage into a SeedLineage, its key a tuple.
+    A lineage's entropy and key are checked here, once a public call, and not
+    in ``child``, which runs once a row: each must be an integer, as numpy's
     SeedSequence takes it (0.5 and -0.0 are not)."""
     if isinstance(seed, SeedLineage):
-        if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in (seed.entropy, *seed.key)):
+        key = _seq(seed.key, "a seed lineage's key")
+        if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in (seed.entropy, *key)):
             raise DomainError(f"a seed lineage's entropy and key must be >= 0 integers, got {seed}")
-        return seed
+        return seed if isinstance(seed.key, tuple) else SeedLineage(seed.entropy, key)
     return SeedLineage(_count(seed, "seed", 0))

@@ -1,7 +1,9 @@
-"""Every public callable that takes a count, real, threshold or seed, with edge
-values for up to three of them, returns a result or raises DomainError: never
-a bare TypeError or ValueError, and no other error but at an accepted call's
-first draw.  The library half of ``test_cli_properties.py``.
+"""Every public callable that takes a count, real, threshold, seed or container,
+with edge values for up to three of them, returns a result or raises
+DomainError: never a bare TypeError or ValueError, and no other error but at an
+accepted call's first draw.  The library half of ``test_cli_properties.py``.
+The closed forms, which return a result for most values, are also held to
+refuse text and None.  The table names every parameter of every callable.
 
 Left out: huge finite counts.  An accepted ``empirical_max_law(R=10**12)`` or
 ``sample_row(n=10**15)`` asks for terabytes before its first draw, and only a
@@ -9,9 +11,11 @@ cost budget checked ahead of the draws would refuse it.
 """
 
 import functools
+import inspect
 import math
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +26,9 @@ from hrlab.experiments import ASLT_HARD_CAP, QUAD_MAX_NODES
 REALS = (None, "0.5", "x", True, 0, -0.0, 5e-324, 1e300, -1e300, math.inf, -math.inf,
          math.nan, 0.5, 1)
 reals = st.sampled_from(REALS)
+# what each container argument takes besides its sequences: none of them is one
+NOT_SEQUENCES = (None, 5, "ab")
+not_sequences = st.sampled_from(NOT_SEQUENCES)
 COST_CAP = 10**5  # no count edge above it: an accepted count that large is slow
 
 
@@ -38,14 +45,15 @@ STRONG = H.StrongFactorModel(MIX)
 AXIS = [0.0, 1.0]
 
 seeds = counts(0) | st.sampled_from((2**64, H.SeedLineage(0.5), H.SeedLineage(-1),
-                                     H.SeedLineage(0, (1.5,))))
+                                     H.SeedLineage(0, (1.5,)), H.SeedLineage(0, [1]),
+                                     *(H.SeedLineage(0, key) for key in NOT_SEQUENCES)))
 workers = st.sampled_from((-3, 0, 1))  # 2 would start a process pool in each example
 axes = st.lists(reals, min_size=1, max_size=2)
-pairs = st.tuples(reals, reals).map(lambda p: (p,))
+pairs = st.tuples(reals, reals).map(lambda p: (p,)) | not_sequences
 
 
 def n_grids(*bounds):
-    return st.lists(counts(*bounds), min_size=1, max_size=3).map(tuple)
+    return st.lists(counts(*bounds), min_size=1, max_size=3).map(tuple) | not_sequences
 
 
 # name in hrlab.__all__: (callable, {argument: (ordinary value, strategy of edge
@@ -57,13 +65,14 @@ CALLS = {
     "MixtureParams": (H.MixtureParams, dict(tau11=(1.0, reals), tau22=(1.0, reals),
                                             tau12=(0.8, reals), lam=(1.0, reals))),
     "SeedLineage": (H.SeedLineage, dict(entropy=(0, counts(0)),
-                                        key=((), st.sampled_from(((1.5,), (-1,), ("5",)))))),
+                                        key=((), st.sampled_from(((1.5,), (-1,), ("5",),
+                                                                  *NOT_SEQUENCES))))),
     "WeakAR1Model": (H.WeakAR1Model, dict(lam=(1.0, reals), phi=(0.5, reals))),
     "aslt_average": (functools.partial(H.aslt_average, WEAK), dict(
         coupling=(H.INDEPENDENT_ROWS, st.just(H.shared_innovations(0.3))),
         n_max=(1000, counts(1000, ASLT_HARD_CAP)), points=(((0.0, 0.0),), pairs),
         seed=(0, seeds), maxmin_points=((), st.tuples(reals, reals, reals, reals)
-                                        .map(lambda q: (q,))))),
+                                        .map(lambda q: (q,)) | not_sequences))),
     "aslt_bound_rate": (functools.partial(H.aslt_bound_rate, WEAK), dict(
         cross_row=(H.shared_innovations(0.3), st.just(H.INDEPENDENT_ROWS)),
         epsilon=(0.1, reals), n_grid=((100, 1000), n_grids(16)), x=(0.0, reals),
@@ -73,12 +82,12 @@ CALLS = {
         n_grid=((100, 1000), n_grids(WEAK.min_n())))),
     "empirical_max_law": (functools.partial(H.empirical_max_law, WEAK), dict(
         n=(200, counts(WEAK.min_n())), R=(100, counts(100)),
-        grid=((AXIS, AXIS), st.tuples(axes, st.just(AXIS))), seed=(0, seeds),
+        grid=((AXIS, AXIS), st.tuples(axes, st.just(AXIS)) | not_sequences), seed=(0, seeds),
         workers=(1, workers))),
     "empirical_maxmin_law": (functools.partial(H.empirical_maxmin_law, WEAK), dict(
         n=(200, counts(WEAK.min_n())), R=(100, counts(100)),
-        grid4=((AXIS,) * 4, axes.map(lambda a: (a, AXIS, AXIS, AXIS))), seed=(0, seeds),
-        workers=(1, workers))),
+        grid4=((AXIS,) * 4, axes.map(lambda a: (a, AXIS, AXIS, AXIS)) | not_sequences),
+        seed=(0, seeds), workers=(1, workers))),
     "gumbel_cdf": (H.gumbel_cdf, dict(x=(0.0, reals))),
     "gumbel_quantile": (H.gumbel_quantile, dict(u=(0.5, reals))),
     "hr_cdf": (H.hr_cdf, dict(lam=(1.0, reals), x=(0.0, reals), y=(0.0, reals))),
@@ -99,7 +108,7 @@ CALLS = {
         n=(100, counts(WEAK.min_n())), seed=(0, seeds))),
     "sample_rows": (functools.partial(H.sample_rows, WEAK), dict(
         n=(100, counts(WEAK.min_n())), seed=(0, seeds),
-        keys=((0, 1), st.lists(counts(0), min_size=1, max_size=3)))),
+        keys=((0, 1), st.lists(counts(0), min_size=1, max_size=3) | not_sequences))),
     "shared_innovations": (H.shared_innovations, dict(c=(0.3, reals))),
     "std_normal_cdf": (H.std_normal_cdf, dict(z=(0.0, reals))),
     "univariate_mixture_cdf": (H.univariate_mixture_cdf, dict(
@@ -107,7 +116,7 @@ CALLS = {
     "validate_assumption": (functools.partial(H.validate_assumption, STRONG), dict(
         which=("A2", st.sampled_from(("A1", "A3"))),
         n_grid=((100, 1000, 10**4), n_grids(STRONG.min_n())), alpha=(0.2, reals),
-        tau=(None, st.lists(reals, min_size=2, max_size=3).map(tuple)))),
+        tau=(None, st.lists(reals, min_size=2, max_size=3).map(tuple) | not_sequences))),
 }
 
 # callables that take objects only: results, models built of objects, the
@@ -119,10 +128,18 @@ OBJECTS_ONLY = {
 }
 
 
+# parameters that take no edge values: an output buffer
+UNDRAWN = {"std_normal_cdf": {"out"}}
+
+
 def test_table_names_every_public_callable():
     public = {name for name in H.__all__ if callable(getattr(H, name))}
     assert public == set(CALLS) | OBJECTS_ONLY
     assert not set(CALLS) & OBJECTS_ONLY
+    # every parameter after a bound model, so that a new one cannot skip the test
+    for name, (fn, spec) in CALLS.items():
+        params = set(inspect.signature(fn).parameters)
+        assert params == set(spec) | UNDRAWN.get(name, set()), name
 
 
 @st.composite
@@ -155,6 +172,15 @@ def _first_draw(self):
 @example(("Coupling", {"c": "x"}))
 @example(("hr_cdf", {"x": "x"}))
 @example(("empirical_max_law", {"n": 100, "grid": (["x"], [0.0])}))
+@example(("empirical_max_law", {"n": 100, "grid": None}))
+@example(("aslt_average", {"points": 5}))
+@example(("aslt_average", {"points": (5,)}))
+@example(("aslt_average", {"maxmin_points": None}))
+@example(("comparison_bound_series", {"n_grid": 5}))
+@example(("aslt_bound_rate", {"n_grid": 5}))
+@example(("sample_rows", {"n": 10, "keys": 5}))
+@example(("validate_assumption", {"n_grid": (100, 1000), "tau": 5}))
+@example(("sample_row", {"n": 10, "seed": H.SeedLineage(0, 5)}))
 def test_every_call_returns_or_refuses(call):
     name, edges = call
     fn, spec = CALLS[name]
@@ -164,3 +190,40 @@ def test_every_call_returns_or_refuses(call):
             fn(**kwargs)
         except (H.DomainError, FirstDraw):
             pass
+
+
+def _varying(fn, arg, **ordinary):
+    """``fn(1.0, **ordinary)`` as a function of its argument ``arg``."""
+    return lambda a: fn(1.0, **{**ordinary, arg: a})
+
+
+# each array argument of a closed form, as a one-argument call
+CLOSED_FORMS = {
+    "gumbel_cdf": H.gumbel_cdf,
+    "gumbel_quantile": H.gumbel_quantile,
+    "std_normal_cdf": H.std_normal_cdf,
+    **{f"{fn.__name__}-{arg}": _varying(fn, arg, x=0.0, y=0.0)
+       for fn in (H.hr_exponent, H.hr_cdf, H.hr_cdf_dx) for arg in "xy"},
+    **{f"hr_copula-{arg}": _varying(H.hr_copula, arg, u=0.5, v=0.5) for arg in "uv"},
+    "Norming.u": H.norming_constants(100).u,
+}
+# the closed forms whose level arguments must lie in [0, 1], which refuse NaN
+NAN_REFUSED = {"gumbel_quantile", "hr_copula-u", "hr_copula-v"}
+
+
+@pytest.mark.parametrize("value", ["0.5", None, [0.5, None]], ids=["text", "None", "list-None"])
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_closed_forms_refuse_text_and_none(name, value):
+    with pytest.raises(H.DomainError, match="expected real numbers"):
+        CLOSED_FORMS[name](value)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_closed_forms_keep_a_nan_threshold(name):
+    if name in NAN_REFUSED:
+        with pytest.raises(H.DomainError, match=r"\[0, 1\]"):
+            CLOSED_FORMS[name]([0.5, math.nan])
+    else:
+        assert math.isnan(CLOSED_FORMS[name](math.nan))
+        got = CLOSED_FORMS[name]([0.5, math.nan])
+        assert not math.isnan(got[0]) and math.isnan(got[1])

@@ -1,5 +1,5 @@
-"""The coercions of ``hrlab.errors``: one message form for a refused real,
-and no copy of a float64 array."""
+"""The coercions of ``hrlab.errors``: one message form for a refused real or
+sequence, and no copy of a float64 array."""
 
 import math
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hrlab import DomainError
-from hrlab.errors import _floats, _real
+from hrlab.errors import _floats, _real, _seq
 
 
 @pytest.mark.parametrize("value, rule, message", [
@@ -43,3 +43,39 @@ def test_floats_keeps_a_float64_array_and_refuses_text():
     for bad in ("x", ["x", 0.0], [[0.0], [1.0, 2.0]], {}):
         with pytest.raises(DomainError):
             _floats(bad)
+
+
+@pytest.mark.parametrize("value", ["0.5", b"0.5", None, [0.5, None], 1j, [1, 10**400],
+                                   np.array([0.5], dtype=object)])
+def test_floats_refuses_what_real_refuses(value):
+    with pytest.raises(DomainError, match="expected real numbers"):
+        _floats(value)
+
+
+def test_floats_takes_numeric_dtypes_as_float64():
+    for value in (True, 3, np.array([1, 2], dtype=np.uint8), np.float32(0.1), range(3)):
+        got = _floats(value)
+        assert got.dtype == np.float64 and np.array_equal(got, np.asarray(value, dtype=float))
+
+
+@pytest.mark.parametrize("value, rule, message", [
+    (5, {}, "tau must be a sequence, got 5"),
+    (None, {}, "tau must be a sequence, got None"),
+    ("ab", {}, "tau must be a sequence, got 'ab'"),
+    (b"ab", {}, "tau must be a sequence, got b'ab'"),
+    (np.array(1.0), {}, "tau must be a sequence, got array(1.)"),
+    ((1.0, 2.0), dict(least=3, most=3), "the length of tau must be 3, got 2"),
+    ((), dict(least=1), "the length of tau must be >= 1, got 0"),
+    (range(3), dict(most=2), "the length of tau must be <= 2, got 3"),
+    ([0.0], dict(least=2, most=3), "the length of tau must lie in [2, 3], got 1"),
+])
+def test_sequence_rule_refuses_in_one_message_form(value, rule, message):
+    with pytest.raises(DomainError) as info:
+        _seq(value, "tau", **rule)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value", [[1, 2], (1, 2), range(1, 3), np.array([1, 2]), iter([1, 2]),
+                                   (v for v in (1, 2))])
+def test_sequence_rule_takes_any_iterable_in_order(value):
+    assert _seq(value, "tau", 2, 2) == (1, 2)

@@ -46,7 +46,7 @@ class TestEmpiricalMaxLaw:
         with pytest.raises(DomainError, match="non-empty"):
             H.empirical_max_law(H.WeakAR1Model(1.0, 0.0), 100, 100, ([], grid()), 1)
         for axes in ((grid(),), (grid(), grid(), grid())):
-            with pytest.raises(DomainError, match="grid must have 2 axes"):
+            with pytest.raises(DomainError, match="the length of grid must be 2"):
                 H.empirical_max_law(H.WeakAR1Model(1.0, 0.0), 100, 100, axes, 1)
 
     @pytest.mark.parametrize("axis", [[math.inf, math.inf], [-math.inf, -math.inf]])
@@ -329,7 +329,7 @@ class TestEmpiricalMaxMinLaw:
         with pytest.raises(DomainError):
             H.empirical_maxmin_law(m, 200, 200, (four, four, four, four), 1)
         for count in (3, 5):
-            with pytest.raises(DomainError, match="grid4 must have 4 axes"):
+            with pytest.raises(DomainError, match="the length of grid4 must be 4"):
                 H.empirical_maxmin_law(m, 200, 200, (four[:2],) * count, 1)
 
 
@@ -343,12 +343,18 @@ class TestAsltAverage:
         sf = H.StrongFactorModel(H.MixtureParams(1.0, 1.0, 0.8, 1.0))
         with pytest.raises(DomainError):
             H.aslt_average(sf, H.INDEPENDENT_ROWS, 2000, ((0.0, 0.0),), 1)
-        with pytest.raises(DomainError, match="maxmin points"):
+        with pytest.raises(DomainError, match="the length of a maxmin point must be 4"):
             H.aslt_average(m, H.INDEPENDENT_ROWS, 2000, (), 1, maxmin_points=((0.0, 0.0, 1.0),))
-        with pytest.raises(DomainError, match="points must be"):
+        with pytest.raises(DomainError, match="the length of a point must be 2"):
             H.aslt_average(m, H.INDEPENDENT_ROWS, 2000, ((0.0, 0.0, 0.0),), 1)
         with pytest.raises(DomainError, match="coupling kind"):
             H.Coupling("other")
+
+    def test_an_independent_coupling_takes_no_weight(self):
+        with pytest.raises(DomainError, match=r"independent coupling weight must lie in \[0, 0\]"):
+            H.Coupling("independent", 0.5)
+        assert H.Coupling("independent", -0.0).c == 0.0
+        assert H.Coupling("shared", 0.5).c == 0.5
 
     def test_comonotone_indicators_coincide(self):
         # identical components: the event only depends on min(x, y)
@@ -616,7 +622,7 @@ class TestBoundSeries:
             H.comparison_bound_series(H.WeakAR1Model(1.0, 0.5), "L2", 0.0, 0.0, (100,))
         with pytest.raises(DomainError, match="kind"):
             H.comparison_bound_series(H.WeakAR1Model(1.0, 0.5), "L3", 0.0, 0.0, (100,))
-        with pytest.raises(DomainError, match="non-empty"):
+        with pytest.raises(DomainError, match="the length of n_grid must be >= 1"):
             H.comparison_bound_series(H.WeakAR1Model(1.0, 0.5), "L1", 0.0, 0.0, ())
 
     def test_rate_report(self):

@@ -53,6 +53,13 @@ class TestInducedCorrelation:
         with pytest.raises(DomainError):
             H.induced_correlation(m, 3, 1, 0, 100)
 
+    @pytest.mark.parametrize("i, j, n", [(1, 2, 2), (1, 1, 3)])
+    def test_a_row_size_below_min_n_is_refused(self, i, j, n):
+        # at n = 2 the strong model's correlation read 1.154, above 1
+        sf = H.StrongFactorModel(H.MixtureParams(1.0, 1.0, 0.8, 1.0))
+        with pytest.raises(DomainError, match=f"row size must be >= {sf.min_n()}, got {n}"):
+            H.induced_correlation(sf, i, j, 1, n)
+
 
 class TestLagCorrCut:
     """``WeakAR1Model.lag_corr_array`` calls pow only where phi^k does not
@@ -482,7 +489,7 @@ class TestAssumptionValidators:
             H.validate_assumption(H.WeakAR1Model(1.0, 0.5), "A2", (100, 1000), 0.1)
         with pytest.raises(DomainError, match="'A1' or 'A2'"):
             H.validate_assumption(H.WeakAR1Model(1.0, 0.5), "A3", (100, 1000), 0.1)
-        with pytest.raises(DomainError, match="A2 needs tau"):
+        with pytest.raises(DomainError, match=r"the length of A2's tau \(.*\) must be 3"):
             H.validate_assumption(H.WeakAR1Model(1.0, 0.5), "A2", (100, 1000), 0.1, tau=(1, 2))
 
     @staticmethod
