@@ -22,8 +22,8 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
-from functools import cache
+from concurrent.futures import ProcessPoolExecutor
+from functools import cache, partial
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -53,7 +53,7 @@ GRID_MAX_POINTS = 201  # per axis: hr-eval tabulates count^2 rows
 # each count flag's (least, most), checked before any draw.  --n and --reps
 # keep every array below 256 MB: a row of 2(n+1) float64 normals, and verify
 # maxmin's (reps, 81) event matrices.  --seeds bounds the run time of verify
-# aslt, one path after another on each of its --workers threads, of up to
+# aslt, one path after another on each of its --workers processes, of up to
 # ~1e10 normals each, and it takes two paths to compare spreads across them
 COUNT_RANGES = {"n": (None, 10**7), "reps": (None, 10**6), "seeds": (2, 100),
                 "workers": (1, None)}
@@ -328,6 +328,12 @@ def cmd_verify_maxmin(cfg: SimpleNamespace, workers: int):
     return table, {"max_abs_err": worst, "tol": tol}, passed
 
 
+def _aslt_path(model, coupling, nmax, points, mm_points, lineage):
+    # module level, and reads the module's aslt_average when called, so that
+    # a pool pickles it by name whatever aslt_average is bound to
+    return aslt_average(model, coupling, nmax, points, lineage, maxmin_points=mm_points)
+
+
 def cmd_verify_aslt(cfg: SimpleNamespace, workers: int):
     model = WeakAR1Model(cfg.lam, cfg.phi)
     coupling = _coupling_of(cfg.coupling)
@@ -335,16 +341,19 @@ def cmd_verify_aslt(cfg: SimpleNamespace, workers: int):
     mm_points = tuple((x, y, x, y) for x, y in points)
     tol = cfg.tol if cfg.tol is not None else 0.12
     root = SeedLineage(cfg.seed)
+    path_of = partial(_aslt_path, model, coupling, cfg.nmax, points, mm_points)
+    lineages = [root.child(s) for s in range(cfg.seeds)]
 
-    def path(s):
-        return aslt_average(model, coupling, cfg.nmax, points, root.child(s),
-                            maxmin_points=mm_points)
-
-    # a path's draws and filter release the GIL, so paths share threads; map
-    # keeps seed order, so no byte depends on the schedule
-    _lfilter()  # its loader edits sys.modules, which two threads must not race on
-    with ThreadPoolExecutor(max_workers=min(workers, cfg.seeds, os.cpu_count() or 1)) as pool:
-        paths = list(pool.map(path, range(cfg.seeds)))
+    # each path is a pure function of its lineage, and holds the GIL for most
+    # of its per-row work, so paths run in forked processes; map keeps seed
+    # order, so no byte depends on the schedule
+    workers = min(workers, cfg.seeds, os.cpu_count() or 1)
+    if workers == 1:
+        paths = [path_of(lineage) for lineage in lineages]
+    else:
+        _lfilter()  # loaded once here, so that each forked worker inherits it
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            paths = list(pool.map(path_of, lineages))
     cps = paths[0].checkpoints
     targets = {
         "max": np.array([hr_cdf(cfg.lam, x, y) for x, y in points]),
@@ -460,8 +469,8 @@ COMMON = (
     _flag("--out", default=None, help="output path (default: stdout)"),
     _flag("--tol", type=_parse_real, default=None, help="override the pass threshold"),
     _flag("--workers", type=int, default=1,
-          help="workers (>= 1, capped at the CPU count): processes for the Monte "
-               "Carlo laws, threads for verify aslt's paths"),
+          help="worker processes (>= 1, capped at the CPU count) for the Monte "
+               "Carlo laws and verify aslt's paths"),
 )
 
 

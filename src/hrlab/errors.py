@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the coercions that refuse
 with them: ``_count`` for counts, ``_real`` for scalar reals, ``_floats`` for
-arrays and ``_seq`` for containers.  A value that none can take is a DomainError."""
+arrays, ``_seq`` for containers and ``_instance`` for objects.  A value that
+none can take is a DomainError."""
 
 import numpy as np
 
@@ -81,3 +82,12 @@ def _seq(value, name, least=None, most=None):
     seq = tuple(value)
     _count(len(seq), f"the length of {name}", least, most)
     return seq
+
+
+def _instance(value, kind, name):
+    """``value`` where it is a ``kind`` (a class or a union of classes), the one
+    object rule: anything else, None included, is a DomainError."""
+    if not isinstance(value, kind):
+        names = " or ".join(k.__name__ for k in getattr(kind, "__args__", (kind,)))
+        raise DomainError(f"{name} must be {names}, got {value!r:.60}")
+    return value

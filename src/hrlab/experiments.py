@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _count, _floats, _real, _seq
+from .errors import DomainError, _count, _floats, _instance, _real, _seq
 from .evd_core import MixtureParams, gumbel_cdf, hr_cdf
 from .gauss_arrays import (
     _BLOCK_BYTES, _PAIRS, ArrayModel, StrongFactorModel, WeakAR1Model, _ar1_path, _by_size,
-    _fill, _pair, _scan_sizes,
+    _fill, _pair, _row_size, _scan_sizes,
 )
 from .norming import norming_constants
 from .seeding import as_lineage
@@ -156,7 +156,7 @@ def _extremes(model, lineage, keys, sizes):
 def sample_rows(model: ArrayModel, n: int, seed, keys) -> np.ndarray:
     """(len(keys), 2, n): row i is ``sample_row(model, n, lineage.child(keys[i]))``
     to the byte, for the lineage of ``seed``; keys must be >= 0."""
-    lineage, n = as_lineage(seed), model.validate_n(n)
+    lineage, n = as_lineage(seed), _row_size(model, n)
     keys = [_count(k, "keys", 0) for k in _seq(keys, "keys")]
     rows = np.empty((len(keys), 2, n))
     for lo, hi, x in _row_blocks(model, lineage, keys, np.full(len(keys), n)):
@@ -208,7 +208,7 @@ def empirical_max_law(model: ArrayModel, n: int, R: int, grid, seed,
     Counts are integers taken in the parent over every replication's extremes,
     so the result is identical for any worker count.
     """
-    n, R = model.validate_n(n), _count(R, "replications", 100)
+    n, R = _row_size(model, n), _count(R, "replications", 100)
     gx, gy = _axes(grid, "grid", 2)
     ext = _all_extremes(model, n, as_lineage(seed), R, workers)
     corner = np.zeros((gx.size + 1, gy.size + 1), dtype=np.int64)
@@ -222,7 +222,7 @@ def empirical_maxmin_law(model: ArrayModel, n: int, R: int, grid4, seed,
     """Empirical probabilities of the four-sided event
     -u_n(y1) < m1 <= M1 <= u_n(x1), -u_n(y2) < m2 <= M2 <= u_n(x2)
     on a small 4-d grid (at most 3 points per axis)."""
-    n, R = model.validate_n(n), _count(R, "replications", 100)
+    n, R = _row_size(model, n), _count(R, "replications", 100)
     axes = _axes(grid4, "grid4", 4)
     if any(a.size > 3 for a in axes):
         raise DomainError("grid4 axes are capped at 3 points each (cost guard)")
@@ -310,6 +310,7 @@ def mixture_limit_cdf(mp: MixtureParams, x: float, y: float, nodes: int = 128) -
     and 9.1e-9 at (-2, 4), and from 128 to 150 by 8.3e-15 and 3.0e-12.
     A NaN x or y is refused; +-inf is accepted.
     """
+    _instance(mp, MixtureParams, "mp")
     x, y = _thresholds(x, y)
     h, w = _hermgauss(nodes)
     rho = mp.rho_zw
@@ -339,6 +340,7 @@ def mixture_limit_mc(mp: MixtureParams, x: float, y: float, draws: int, seed):
     Returns (estimate, standard_error); the error needs ``draws`` >= 2.  A
     NaN x or y is refused, as by mixture_limit_cdf.
     """
+    _instance(mp, MixtureParams, "mp")
     x, y = _thresholds(x, y)
     draws = _count(draws, "draws", 2)
     rng = as_lineage(seed).generator()
@@ -447,6 +449,7 @@ def aslt_average(model: ArrayModel, coupling: Coupling, n_max: int, points, seed
     """
     if not isinstance(model, WeakAR1Model):
         raise DomainError("ASLT paths are implemented for the weak-dependence AR(1) model")
+    _instance(coupling, Coupling, "coupling")
     n_max = _count(n_max, "n_max", 1000, ASLT_HARD_CAP)
     points = tuple(_thresholds(*_seq(p, "a point", 2, 2))
                    for p in _seq(points, "points", most=ASLT_MAX_POINTS))
@@ -694,6 +697,7 @@ def aslt_bound_rate(model: ArrayModel, cross_row: Coupling, epsilon: float,
     coupling (evaluated on its correlation envelope c * phi^(lag)).  Verdict
     "bounded" holds when the ratio sequence attains its maximum on the first
     half of the grid."""
+    _instance(cross_row, Coupling, "cross_row")
     epsilon = _real(epsilon, "epsilon", above=0.0, below=math.inf)
     n_grid = tuple(_count(n, "n_grid entry", 16) for n in _seq(n_grid, "n_grid", 1))  # ln ln n > 1
     rate = []

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ModelError, _count, _real, _seq
+from .errors import DomainError, ModelError, _count, _instance, _real, _seq
 from .norming import rho0_from_lambda
 from .evd_core import MixtureParams, _scipy_extension, as_param
 from .seeding import SeedLineage, as_lineage
@@ -130,10 +130,15 @@ class _RowSizeRule:
         return _count(n, "row size", self.min_n())
 
 
+def _row_size(model, n):
+    """``n`` as a valid row size of ``model``, where ``model`` is an ArrayModel."""
+    return _instance(model, ArrayModel, "model").validate_n(n)
+
+
 def _scan_sizes(model, n_grid):
     """The row sizes of the non-empty sequence ``n_grid`` as ints, each valid
     for ``model`` and at most NGRID_MAX."""
-    return tuple(model.validate_n(_count(n, "row size", most=NGRID_MAX))
+    return tuple(_row_size(model, _count(n, "row size", most=NGRID_MAX))
                  for n in _seq(n_grid, "n_grid", 1))
 
 
@@ -203,6 +208,9 @@ class StrongFactorModel(_RowSizeRule):
     """Shared-factor construction with constant lagged correlations tau_ij / ln(n)."""
 
     mix: MixtureParams
+
+    def __post_init__(self):
+        _instance(self.mix, MixtureParams, "mix")
 
     def taus(self, n: int) -> tuple[float, float, float]:
         ell = math.log(n)
@@ -342,7 +350,7 @@ ArrayModel = WeakAR1Model | StrongFactorModel | ExplicitModel
 
 def sample_row(model: ArrayModel, n: int, seed) -> RowSample:
     """Sample one row of the triangular array; bit-identical for equal seeds."""
-    lineage, n = as_lineage(seed), model.validate_n(n)
+    lineage, n = as_lineage(seed), _row_size(model, n)
     block = np.zeros((1, *model._layout(n)))
     model._sample(n, lineage.generator(), out=block[0])
     x1, x2 = model._rows(block, [n])[0]
@@ -352,7 +360,7 @@ def sample_row(model: ArrayModel, n: int, seed) -> RowSample:
 def induced_correlation(model: ArrayModel, i: int, j: int, k: int, n: int) -> float:
     """Exact model correlation of X_s^(i) and X_{s+k}^(j) within row n."""
     i, j = (_count(c, "component index", 1, 2) for c in (i, j))
-    size = model.validate_n(n)
+    size = _row_size(model, n)
     k = _count(k, "lag", 0, size - 1)
     if k == 0:
         return 1.0 if i == j else model.rho0(size)
@@ -406,9 +414,12 @@ def validate_assumption(model: ArrayModel, which: str, n_grid, alpha: float,
     (0, (1 - s) / (1 + s)) where s is the largest absolute lag correlation
     scanned at the largest grid n.  For A2, ``tau`` supplies (tau11, tau12,
     tau22); it defaults to the model's own mixture constants when present.
+    A1 takes no ``tau``, and one given with it is refused.
     """
     if which not in ("A1", "A2"):
         raise DomainError(f"assumption must be 'A1' or 'A2', got {which!r}")
+    if which == "A1" and tau is not None:
+        raise DomainError(f"tau is for A2 only, A1 takes none; got {tau!r:.60}")
     n_grid = _scan_sizes(model, n_grid)  # min_n() >= 2
     if list(n_grid) != sorted(set(n_grid)):
         raise DomainError("n_grid must be a strictly increasing list of row sizes")

@@ -3,7 +3,8 @@ with edge values for up to three of them, returns a result or raises
 DomainError: never a bare TypeError or ValueError, and no other error but at an
 accepted call's first draw.  The library half of ``test_cli_properties.py``.
 The closed forms, which return a result for most values, are also held to
-refuse text and None.  The table names every parameter of every callable.
+refuse text and None, and each model or mixture the table binds to refuse None.
+The table names every parameter of every callable.
 
 Left out: huge finite counts.  An accepted ``empirical_max_law(R=10**12)`` or
 ``sample_row(n=10**15)`` asks for terabytes before its first draw, and only a
@@ -69,12 +70,12 @@ CALLS = {
                                                                   *NOT_SEQUENCES))))),
     "WeakAR1Model": (H.WeakAR1Model, dict(lam=(1.0, reals), phi=(0.5, reals))),
     "aslt_average": (functools.partial(H.aslt_average, WEAK), dict(
-        coupling=(H.INDEPENDENT_ROWS, st.just(H.shared_innovations(0.3))),
+        coupling=(H.INDEPENDENT_ROWS, st.sampled_from((H.shared_innovations(0.3), None))),
         n_max=(1000, counts(1000, ASLT_HARD_CAP)), points=(((0.0, 0.0),), pairs),
         seed=(0, seeds), maxmin_points=((), st.tuples(reals, reals, reals, reals)
                                         .map(lambda q: (q,)) | not_sequences))),
     "aslt_bound_rate": (functools.partial(H.aslt_bound_rate, WEAK), dict(
-        cross_row=(H.shared_innovations(0.3), st.just(H.INDEPENDENT_ROWS)),
+        cross_row=(H.shared_innovations(0.3), st.sampled_from((H.INDEPENDENT_ROWS, None))),
         epsilon=(0.1, reals), n_grid=((100, 1000), n_grids(16)), x=(0.0, reals),
         y=(0.0, reals))),
     "comparison_bound_series": (functools.partial(H.comparison_bound_series, WEAK), dict(
@@ -181,6 +182,8 @@ def _first_draw(self):
 @example(("sample_rows", {"n": 10, "keys": 5}))
 @example(("validate_assumption", {"n_grid": (100, 1000), "tau": 5}))
 @example(("sample_row", {"n": 10, "seed": H.SeedLineage(0, 5)}))
+@example(("aslt_average", {"coupling": None}))
+@example(("aslt_bound_rate", {"cross_row": None}))
 def test_every_call_returns_or_refuses(call):
     name, edges = call
     fn, spec = CALLS[name]
@@ -190,6 +193,28 @@ def test_every_call_returns_or_refuses(call):
             fn(**kwargs)
         except (H.DomainError, FirstDraw):
             pass
+
+
+# each call with a None where the table binds an object, the model or its mixture
+NONE_OBJECTS = {
+    "empirical_max_law": lambda: H.empirical_max_law(None, 200, 100, (AXIS, AXIS), 0),
+    "empirical_maxmin_law": lambda: H.empirical_maxmin_law(None, 200, 100, (AXIS,) * 4, 0),
+    "comparison_bound_series": lambda: H.comparison_bound_series(None, "L1", 0.0, 0.0, (100,)),
+    "aslt_bound_rate": lambda: H.aslt_bound_rate(None, H.INDEPENDENT_ROWS, 0.1, (100,), 0, 0),
+    "induced_correlation": lambda: H.induced_correlation(None, 1, 2, 1, 100),
+    "sample_row": lambda: H.sample_row(None, 100, 0),
+    "sample_rows": lambda: H.sample_rows(None, 100, 0, (0,)),
+    "validate_assumption": lambda: H.validate_assumption(None, "A1", (100, 1000), 0.2),
+    "mixture_limit_cdf": lambda: H.mixture_limit_cdf(None, 0.0, 0.0),
+    "mixture_limit_mc": lambda: H.mixture_limit_mc(None, 0.0, 0.0, 10, 0),
+    "StrongFactorModel": lambda: H.StrongFactorModel(None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONE_OBJECTS))
+def test_a_none_object_is_refused(name):
+    with pytest.raises(H.DomainError, match="must be .*, got None"):
+        NONE_OBJECTS[name]()
 
 
 def _varying(fn, arg, **ordinary):

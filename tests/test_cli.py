@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import threading
 import warnings
 from importlib import resources
@@ -427,9 +428,9 @@ class TestVerifyCommands:
             ["verify", "bounds", "--lambda", "1", "--phi", "0.5", "--ngrid", "1e8"])
         assert ns.n_grid == (10**8,)
 
-    def test_aslt_refusal_in_a_path_thread_is_exit_2(self, capsys):
+    def test_aslt_refusal_in_a_path_process_is_exit_2(self, capsys):
         # c = 0.3 against rho_0(2) = -0.44 at lambda 1: each path refuses in
-        # its own thread, and the caller sees the first
+        # its worker process, and the caller sees the first
         code, out, err = run_cli(
             capsys, "verify", "aslt", "--lambda", "1", "--phi", "0.5", "--nmax", "1000",
             "--seeds", "2", "--coupling", "shared:0.3", "--workers", "2",
@@ -437,9 +438,9 @@ class TestVerifyCommands:
         assert (code, out) == (2, "")
         assert err.startswith("error: shared coupling") and err.count("\n") == 1
 
-    def test_aslt_path_threads_end_with_the_command(self, capsys):
+    def test_aslt_path_processes_end_with_the_command(self, capsys):
         # a later command in the same process may fork its pool, and no
-        # thread may be alive at that fork
+        # thread may be alive at that fork; no worker outlives the command
         before = threading.active_count()
         code, _, err = run_cli(
             capsys, "verify", "aslt", "--lambda", "1", "--phi", "0.5", "--nmax", "1000",
@@ -447,6 +448,22 @@ class TestVerifyCommands:
         )
         assert code in (0, 1), err
         assert threading.active_count() == before
+        assert multiprocessing.active_children() == []
+
+    def test_aslt_pool_takes_a_wrapped_aslt_average(self, capsys, monkeypatch):
+        # a timing wrapper bound to cli.aslt_average, a closure that cannot be
+        # pickled, must still reach the workers, and change no byte
+        argv = ("verify", "aslt", "--lambda", "1", "--phi", "0.5", "--nmax", "1000",
+                "--seeds", "3", "--format", "json")
+        code, serial, err = run_cli(capsys, *argv, "--workers", "1")
+        assert code in (0, 1), err
+        original = cli.aslt_average
+
+        def wrapped(*args, **kwargs):
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "aslt_average", wrapped)
+        assert run_cli(capsys, *argv, "--workers", "2") == (code, serial, "")
 
     def test_aslt_starts_at_its_own_min_n(self, capsys):
         # lam^2/2 lies just above ln 7, so the first row is n = 8; a rule that

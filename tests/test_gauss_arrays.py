@@ -484,6 +484,10 @@ class TestAssumptionValidators:
         with pytest.raises(DomainError, match="tau entry"):
             H.validate_assumption(sf, "A2", (100, 1000), 0.2, tau=tau)
 
+    def test_a1_refuses_a_tau(self):
+        with pytest.raises(DomainError, match="A2 only"):
+            H.validate_assumption(H.WeakAR1Model(1.0, 0.5), "A1", (100, 1000), 0.2, tau=5)
+
     def test_a2_requires_taus(self):
         with pytest.raises(DomainError):
             H.validate_assumption(H.WeakAR1Model(1.0, 0.5), "A2", (100, 1000), 0.1)
@@ -518,7 +522,7 @@ class TestAssumptionValidators:
     def test_leaves_give_the_one_array_scan(self, monkeypatch, model, which, grid):
         # 128-lag leaves: many leaves per pair, and the cutoff inside a leaf
         monkeypatch.setattr(gauss_arrays, "_BLOCK_BYTES", 1024)
-        tau = (1.0, 0.8, 1.0)
+        tau = (1.0, 0.8, 1.0) if which == "A2" else None  # A1 refuses a tau
         rep = H.validate_assumption(model, which, grid, 0.3, tau=tau)
         # max(0.0, a, b, c) keeps 0.0 or an earlier value against a NaN, as
         # the validator's running max does

@@ -116,8 +116,8 @@ def test_report_bytes_are_pinned(tmp_path, case, fmt):
 @pytest.mark.parametrize("case", ["weak", "strong", "maxmin", "aslt", "aslt-shared"])
 def test_pool_path_gives_the_pinned_bytes(tmp_path, case):
     # the process pool splits replications into chunks and joins their
-    # extremes, and verify aslt runs its paths on threads; the report must
-    # equal the pinned one-worker one
+    # extremes, and verify aslt runs its paths in worker processes; the
+    # report must equal the pinned one-worker one
     argv = (*CASES[case], "--workers", "2")
     assert report_digest(tmp_path, argv, "json") == PINNED[(case, "json")]
 
